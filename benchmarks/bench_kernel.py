@@ -1,16 +1,14 @@
-"""Frontier-batched kernel vs. the python reference and legacy samplers.
+"""Frontier-batched kernel vs. its python reference.
 
 The vectorized kernel's reason to exist is throughput: it advances a
 whole batch of in-flight RR sets one frontier level at a time with
 numpy gather/scatter instead of paying Python-interpreter cost per BFS
-node.  This benchmark measures RR-sets/second on pokec-sim for three
-regimes —
+node.  This benchmark measures RR-sets/second on pokec-sim for
 
-* ``legacy``  — the pre-kernel fast path (:class:`BatchRRSampler`),
 * ``python``  — the kernel's loop-based reference implementation,
 * ``vectorized`` — the production kernel,
 
-— for both IC and LT, asserts the vectorized kernel clears **5x** over
+for both IC and LT, asserts the vectorized kernel clears **5x** over
 the python reference (the ISSUE acceptance gate), and persists the
 measurement to ``benchmarks/results/BENCH_kernel.json`` where
 ``BENCH_baseline.json`` gates ``kernel.rr_sets_per_second`` and
@@ -25,8 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.datasets.registry import load_dataset
-from repro.sampling.batch import BatchRRSampler
-from repro.sampling.kernel import KernelRRSampler
+from repro.sampling.kernel import RRSampler
 from repro.utils.timer import Timer
 
 from conftest import run_once
@@ -43,16 +40,8 @@ def graph():
     return load_dataset("pokec-sim", scale=0.25)
 
 
-def _legacy_rate(graph, model):
-    sampler = BatchRRSampler(graph, model, seed=SEED)
-    timer = Timer()
-    with timer:
-        sampler.fill(sampler.new_collection(), COUNT)
-    return COUNT / timer.elapsed
-
-
 def _kernel_rate(graph, model, kernel):
-    sampler = KernelRRSampler(graph, model, seed=SEED, kernel=kernel)
+    sampler = RRSampler(graph, model, seed=SEED, kernel=kernel)
     timer = Timer()
     with timer:
         sampler.fill(sampler.new_collection(), COUNT)
@@ -64,7 +53,6 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
         rates = {}
         for model in ("IC", "LT"):
             rates[model] = {
-                "legacy": _legacy_rate(graph, model),
                 "python": _kernel_rate(graph, model, "python"),
                 "vectorized": _kernel_rate(graph, model, "vectorized"),
             }
@@ -78,12 +66,10 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
         "m": graph.m,
         "rr_sets_per_measurement": COUNT,
         "ic": {
-            "legacy_rr_sets_per_second": round(ic["legacy"], 1),
             "python_kernel_rr_sets_per_second": round(ic["python"], 1),
             "vectorized_rr_sets_per_second": round(ic["vectorized"], 1),
         },
         "lt": {
-            "legacy_rr_sets_per_second": round(lt["legacy"], 1),
             "python_kernel_rr_sets_per_second": round(lt["python"], 1),
             "vectorized_rr_sets_per_second": round(lt["vectorized"], 1),
         },
@@ -91,7 +77,6 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
         "kernel": {
             "rr_sets_per_second": round(ic["vectorized"], 1),
             "speedup_vs_python": round(ic["vectorized"] / ic["python"], 2),
-            "speedup_vs_legacy": round(ic["vectorized"] / ic["legacy"], 2),
         },
     }
     results_dir = Path(__file__).parent / "results"

@@ -41,27 +41,6 @@ def bench_greedy_max_coverage(benchmark, graph):
     benchmark(lambda: greedy_max_coverage(collection, 50))
 
 
-def bench_rr_generation_ic_batched(benchmark, graph):
-    from repro.sampling.batch import BatchRRSampler
-
-    sampler = BatchRRSampler(graph, "IC", seed=1)
-    benchmark(lambda: sampler.fill(sampler.new_collection(), 200))
-
-
-def bench_rr_generation_lt_batched(benchmark, graph):
-    from repro.sampling.batch import BatchRRSampler
-
-    sampler = BatchRRSampler(graph, "LT", seed=1)
-    benchmark(lambda: sampler.fill(sampler.new_collection(), 200))
-
-
-def bench_rr_generation_ic_uniform_shortcut(benchmark, graph):
-    from repro.sampling.rrset_ic_uniform import UniformICSampler
-
-    sampler = UniformICSampler(graph, seed=1)
-    benchmark(lambda: sampler.fill(sampler.new_collection(), 200))
-
-
 def bench_forward_simulation_ic_batched(benchmark, graph):
     from repro.diffusion.batch_sim import batched_monte_carlo_spread
 

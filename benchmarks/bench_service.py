@@ -21,7 +21,6 @@ import pytest
 
 from repro.datasets.registry import load_dataset
 from repro.obs import MetricsRegistry
-from repro.sampling.parallel import parallel_fill
 from repro.sampling.service import SamplingPool
 from repro.utils.timer import Timer
 
@@ -38,11 +37,12 @@ def graph():
 
 
 def _per_call_session(graph):
-    """The legacy path: a fresh pool (fork + graph transfer) per call."""
+    """A fresh pool (fork + graph transfer) per call."""
     timer = Timer()
     with timer:
         for call in range(CALLS):
-            parallel_fill(graph, "IC", QUOTA, workers=WORKERS, seed=call)
+            with SamplingPool(graph, "IC", workers=WORKERS, seed=call) as pool:
+                pool.new_collection(QUOTA)
     return timer.elapsed
 
 

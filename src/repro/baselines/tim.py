@@ -29,7 +29,7 @@ from repro.core.theta import log_binomial
 from repro.exceptions import BudgetExceededError
 from repro.graph.digraph import DiGraph
 from repro.maxcover.greedy import greedy_max_coverage
-from repro.sampling.generator import RRSampler
+from repro.sampling.kernel import RRSampler
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
 from repro.utils.validation import check_delta, check_epsilon, check_k

@@ -22,7 +22,7 @@ from repro.core.results import OnlineSnapshot
 from repro.exceptions import ParameterError, StateError
 from repro.graph.digraph import DiGraph
 from repro.maxcover.greedy import greedy_max_coverage
-from repro.sampling.generator import RRSampler
+from repro.sampling.kernel import RRSampler
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
 from repro.utils.validation import check_k
@@ -87,7 +87,9 @@ class BorgsOnline:
             raise ParameterError(f"count must be non-negative, got {count}")
         with self.timer:
             for _ in range(count):
-                self.collection.append(self.sampler.sample_one())
+                # One-set fills keep gamma exact per RR set: a batched
+                # draw would charge edges of sets not yet collected.
+                self.sampler.fill(self.collection, 1)
                 if self.gamma >= self._next_gamma_power:
                     self._freeze_checkpoint()
                     while self._next_gamma_power <= self.gamma:

@@ -43,7 +43,7 @@ from repro.maxcover.bounds import (
 from repro.maxcover.greedy import GreedyResult, greedy_max_coverage
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
-from repro.sampling.generator import RRSampler
+from repro.sampling.kernel import RRSampler
 from repro.sampling.service import SamplingPool
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
@@ -127,8 +127,8 @@ class OnlineOPIM:
         self.obs = resolve_registry(registry)
         self._owns_pool = False
         if sampler is not None:
-            # Custom sampler injection (e.g. a TriggeringRRSampler for
-            # a non-IC/LT triggering model, per the paper's Section 6,
+            # Custom sampler injection (e.g. an RRSampler on a
+            # non-IC/LT triggering model, per the paper's Section 6,
             # or an externally managed SamplingPool).
             if sampler.graph is not graph:
                 raise ParameterError("sampler must be bound to the same graph")
@@ -139,7 +139,6 @@ class OnlineOPIM:
                 model,
                 workers=workers,
                 seed=seed,
-                fast=True,
                 registry=self.obs,
             )
             self._owns_pool = True

@@ -43,7 +43,7 @@ from repro.maxcover.bounds import (
 )
 from repro.maxcover.greedy import GreedyResult, greedy_max_coverage
 from repro.obs import resolve_registry
-from repro.sampling.generator import RRSampler
+from repro.sampling.kernel import RRSampler
 from repro.sampling.service import SamplingPool
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
@@ -89,7 +89,6 @@ class OPIMC:
         model: str,
         bound: str = "greedy",
         seed: SeedLike = None,
-        fast: bool = False,
         registry: Optional[object] = None,
         workers: Optional[int] = None,
         pool: Optional[SamplingPool] = None,
@@ -111,7 +110,6 @@ class OPIMC:
         self.model = model
         self.bound = bound
         self.stopping = stopping
-        self.fast = bool(fast)
         self.obs = resolve_registry(registry)
         self.workers = workers
         self.pool = pool
@@ -126,14 +124,7 @@ class OPIMC:
                 self.model,
                 workers=self.workers,
                 seed=self._seed,
-                fast=True,
                 registry=self.obs,
-            )
-        if self.fast:
-            from repro.sampling.batch import BatchRRSampler
-
-            return BatchRRSampler(
-                self.graph, self.model, seed=self._seed, registry=self.obs
             )
         return RRSampler(
             self.graph, self.model, seed=self._seed, registry=self.obs
@@ -315,7 +306,6 @@ def opim_c(
     bound: str = "greedy",
     seed: SeedLike = None,
     rr_budget: Optional[int] = None,
-    fast: bool = False,
     registry: Optional[object] = None,
     workers: Optional[int] = None,
     pool: Optional[SamplingPool] = None,
@@ -323,10 +313,8 @@ def opim_c(
 ) -> IMResult:
     """One-shot functional interface to :class:`OPIMC` (Algorithm 2).
 
-    ``fast=True`` swaps in the batched RR sampler
-    (:class:`~repro.sampling.batch.BatchRRSampler`) — same output
-    distribution, roughly 3-5x faster sampling.  ``registry`` injects a
-    :class:`~repro.obs.MetricsRegistry` for phase tracing and counters.
+    ``registry`` injects a :class:`~repro.obs.MetricsRegistry` for
+    phase tracing and counters.
     ``workers > 1`` samples through a persistent
     :class:`~repro.sampling.service.SamplingPool` kept warm across the
     doubling iterations (pass an open ``pool`` instead to share one
@@ -342,7 +330,6 @@ def opim_c(
         model,
         bound=bound,
         seed=seed,
-        fast=fast,
         registry=registry,
         workers=workers,
         pool=pool,

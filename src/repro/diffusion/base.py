@@ -1,10 +1,9 @@
 """Common interface for diffusion models.
 
-A diffusion model knows how to (i) simulate one forward cascade from a
-seed set and (ii) sample one random reverse-reachable set rooted at a
-node.  Both operations are driven by the samplers and simulators in
-sibling modules; this module defines the protocol and a small registry
-keyed by the names used throughout the paper ("IC", "LT").
+A diffusion model knows how to simulate one forward cascade from a
+seed set (RR sets are drawn by :mod:`repro.sampling.kernel`); this
+module defines the protocol and a small registry keyed by the names
+used throughout the paper ("IC", "LT").
 """
 
 from __future__ import annotations
@@ -42,15 +41,6 @@ class DiffusionModel:
         """Run one forward cascade from *seeds*.
 
         Returns the array of activated node ids (including the seeds).
-        """
-        raise NotImplementedError
-
-    def sample_rr_set(self, root: int, rng: np.random.Generator) -> tuple:
-        """Sample one random RR set rooted at *root*.
-
-        Returns ``(nodes, edges_examined)`` where ``nodes`` is an int
-        array containing *root* and ``edges_examined`` is the traversal
-        cost counter used by Borgs et al.'s online algorithm.
         """
         raise NotImplementedError
 

@@ -1,12 +1,30 @@
-"""Independent cascade (IC) model: forward simulation + RR sampling."""
+"""Independent cascade (IC) model: forward simulation."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.diffusion.base import DiffusionModel, register_model
-from repro.sampling.rrset_ic import Scratch, sample_rr_set_ic
 from repro.utils.arrays import gather_slice_index
+
+
+class Scratch:
+    """Reusable per-graph working memory for cascade BFS.
+
+    A stamped visited array and a preallocated queue, so no O(n)
+    clearing happens between cascades.
+    """
+
+    __slots__ = ("visited", "stamp", "queue")
+
+    def __init__(self, n: int) -> None:
+        self.visited = np.zeros(n, dtype=np.int64)
+        self.stamp = 0
+        self.queue = np.empty(n, dtype=np.int32)
+
+    def next_stamp(self) -> int:
+        self.stamp += 1
+        return self.stamp
 
 
 @register_model
@@ -67,6 +85,3 @@ class IndependentCascade(DiffusionModel):
             frontier = fresh
 
         return queue[:tail].copy()
-
-    def sample_rr_set(self, root: int, rng: np.random.Generator):
-        return sample_rr_set_ic(self.graph, root, rng, self._scratch)

@@ -1,12 +1,10 @@
-"""Linear threshold (LT) model: forward simulation + RR sampling."""
+"""Linear threshold (LT) model: forward simulation."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.diffusion.base import DiffusionModel, register_model
-from repro.sampling.rrset_ic import Scratch
-from repro.sampling.rrset_lt import LTAliasTables, sample_rr_set_lt
 from repro.utils.arrays import gather_slice_index
 
 
@@ -26,8 +24,6 @@ class LinearThreshold(DiffusionModel):
     def __init__(self, graph) -> None:
         super().__init__(graph)
         graph.validate_lt()
-        self._scratch = Scratch(graph.n)
-        self._tables = LTAliasTables(graph)
         self._acc = np.zeros(graph.n, dtype=np.float64)
 
     def simulate(self, seeds, rng: np.random.Generator) -> np.ndarray:
@@ -78,6 +74,3 @@ class LinearThreshold(DiffusionModel):
             frontier = fresh
 
         return np.concatenate(activated)
-
-    def sample_rr_set(self, root: int, rng: np.random.Generator):
-        return sample_rr_set_lt(self.graph, root, rng, self._tables, self._scratch)

@@ -30,7 +30,7 @@ from repro.experiments.harness import ExperimentResult, Series
 from repro.graph.digraph import DiGraph
 from repro.maxcover.bounds import coverage_upper_bound_greedy
 from repro.maxcover.greedy import greedy_max_coverage
-from repro.sampling.generator import RRSampler
+from repro.sampling.kernel import RRSampler
 from repro.utils.rng import SeedLike, spawn_generators
 
 

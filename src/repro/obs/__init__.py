@@ -49,7 +49,6 @@ from repro.obs.registry import (
     Gauge,
     MetricsRegistry,
     NullRegistry,
-    RRSetStats,
     RunningStats,
     resolve_registry,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Histogram",
     "default_buckets",
     "prometheus_text",
-    "RRSetStats",
     "TraceRecorder",
     "events_per_second",
     "throughput_summary",

@@ -33,7 +33,6 @@ __all__ = [
     "Gauge",
     "RunningStats",
     "Histogram",
-    "RRSetStats",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -88,8 +87,7 @@ class Gauge:
 class RunningStats:
     """Histogram-style aggregate: count / total / min / max / mean.
 
-    Used both for span durations (seconds) and for per-RR-set size
-    distributions (nodes and edges per reverse BFS).
+    Used for span durations (seconds) and other per-event values.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "_lock")
@@ -527,29 +525,6 @@ class NullRegistry:
 
 #: The process-wide default no-op registry.
 NULL_REGISTRY = NullRegistry()
-
-
-class RRSetStats:
-    """Per-RR-set size-distribution hook for the scalar samplers.
-
-    The scalar RR-set functions (``sample_rr_set_ic`` / ``_lt`` /
-    ``_triggering``) accept one of these as an optional ``stats``
-    argument; when present they observe the node count and the edge
-    count of every sampled RR set, feeding the ``sampling.rr_nodes`` /
-    ``sampling.rr_edges`` distributions.  Samplers only allocate it
-    when bound to an enabled registry, so the default path carries a
-    single ``is not None`` check per RR set.
-    """
-
-    __slots__ = ("nodes", "edges")
-
-    def __init__(self, registry, prefix: str = "sampling") -> None:
-        self.nodes = registry.stats(f"{prefix}.rr_nodes")
-        self.edges = registry.stats(f"{prefix}.rr_edges")
-
-    def observe_set(self, num_nodes: int, num_edges: int) -> None:
-        self.nodes.observe(num_nodes)
-        self.edges.observe(num_edges)
 
 
 def resolve_registry(registry: Optional[object]):

@@ -1,25 +1,18 @@
 """Reverse influence sampling: alias tables, RR-set samplers, collections."""
 
 from repro.sampling.alias import AliasTable
-from repro.sampling.batch import BatchRRSampler
 from repro.sampling.collection import RRCollection
-from repro.sampling.generator import RRSampler
 from repro.sampling.hop import HopEstimator
 from repro.sampling.kernel import (
-    KernelRRSampler,
+    RRSampler,
     resolve_kernel,
     sample_rr_sets_kernel,
 )
-from repro.sampling.rrset_ic import sample_rr_set_ic
-from repro.sampling.rrset_ic_uniform import UniformICSampler
-from repro.sampling.rrset_lt import LTAliasTables, sample_rr_set_lt
-from repro.sampling.parallel import parallel_fill
+from repro.sampling.rrset_lt import LTAliasTables
 from repro.sampling.rrset_triggering import (
-    TriggeringRRSampler,
     fixed_size_triggering_sets,
     ic_triggering_sets,
     lt_triggering_sets,
-    sample_rr_set_triggering,
 )
 from repro.sampling.serialize import load_collection, save_collection
 from repro.sampling.service import SamplingPool, chunk_schedule, chunk_seed
@@ -28,21 +21,13 @@ __all__ = [
     "AliasTable",
     "RRCollection",
     "RRSampler",
-    "BatchRRSampler",
-    "KernelRRSampler",
     "HopEstimator",
     "SamplingPool",
     "resolve_kernel",
     "sample_rr_sets_kernel",
-    "UniformICSampler",
     "chunk_schedule",
     "chunk_seed",
-    "parallel_fill",
-    "sample_rr_set_ic",
-    "sample_rr_set_lt",
     "LTAliasTables",
-    "TriggeringRRSampler",
-    "sample_rr_set_triggering",
     "ic_triggering_sets",
     "lt_triggering_sets",
     "fixed_size_triggering_sets",

@@ -1,128 +1,9 @@
-"""Facade that streams random RR sets for a (graph, model) pair.
+"""Import path of the RR sampler.
 
-:class:`RRSampler` owns the per-graph preprocessing (scratch buffers,
-LT alias tables), draws uniformly random roots, and accounts for the
-total number of edges examined — the cost measure used by Borgs et
-al.'s online algorithm and by the paper's complexity analysis.
+:class:`RRSampler` lives in :mod:`repro.sampling.kernel`, next to the
+kernels and the RNG contract it drives; this module re-exports it.
 """
 
-from __future__ import annotations
+from repro.sampling.kernel import RRSampler
 
-import time
-from typing import Optional
-
-import numpy as np
-
-from repro.exceptions import ParameterError
-from repro.graph.digraph import DiGraph
-from repro.obs import RRSetStats, resolve_registry
-from repro.sampling.collection import RRCollection
-from repro.sampling.rrset_ic import Scratch, sample_rr_set_ic
-from repro.sampling.rrset_lt import LTAliasTables, sample_rr_set_lt
-from repro.utils.rng import SeedLike, as_generator
-
-MODELS = ("IC", "LT")
-
-
-class RRSampler:
-    """Streaming generator of random RR sets.
-
-    Parameters
-    ----------
-    graph:
-        Weighted :class:`DiGraph`.
-    model:
-        ``"IC"`` or ``"LT"``.
-    seed:
-        RNG seed or generator; all randomness of this sampler flows
-        through it.
-    registry:
-        Optional :class:`~repro.obs.MetricsRegistry`.  When given, the
-        sampler maintains the ``sampling.rr_sets`` / ``sampling.edges``
-        / ``sampling.nodes`` counters and the per-RR-set size
-        distributions; by default the no-op registry is used and the
-        hot path is unchanged.
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        model: str,
-        seed: SeedLike = None,
-        registry=None,
-    ) -> None:
-        model = model.upper()
-        if model not in MODELS:
-            raise ParameterError(f"model must be one of {MODELS}, got {model!r}")
-        if not graph.weighted:
-            raise ParameterError(
-                "graph has no edge probabilities; apply a weighting scheme first"
-            )
-        self.graph = graph
-        self.model = model
-        self.rng = as_generator(seed)
-        self.edges_examined = 0
-        self.sets_generated = 0
-        self.nodes_touched = 0
-        #: The scale factor in spread estimates and bounds ("n" in the
-        #: paper; subclasses with non-uniform roots override it).
-        self.universe_weight = float(graph.n)
-        #: Cumulative wall-clock seconds spent inside :meth:`fill`;
-        #: deltas attribute request time to sampling vs. selection.
-        self.fill_seconds = 0.0
-        self.obs = resolve_registry(registry)
-        self._rr_stats = RRSetStats(self.obs) if self.obs.enabled else None
-        self._scratch = Scratch(graph.n)
-        self._lt_tables: Optional[LTAliasTables] = None
-        if model == "LT":
-            self._lt_tables = LTAliasTables(graph)
-
-    def sample_one(self, root: Optional[int] = None) -> np.ndarray:
-        """Sample one RR set; the root is uniform random when omitted."""
-        if root is None:
-            root = int(self.rng.integers(0, self.graph.n))
-        elif not 0 <= root < self.graph.n:
-            raise ParameterError(f"root {root} out of range [0, {self.graph.n})")
-        if self.model == "IC":
-            nodes, edges = sample_rr_set_ic(
-                self.graph, root, self.rng, self._scratch, self._rr_stats
-            )
-        else:
-            nodes, edges = sample_rr_set_lt(
-                self.graph,
-                root,
-                self.rng,
-                self._lt_tables,
-                self._scratch,
-                self._rr_stats,
-            )
-        self.edges_examined += edges
-        self.sets_generated += 1
-        self.nodes_touched += nodes.shape[0]
-        return nodes
-
-    def fill(self, collection: RRCollection, count: int) -> None:
-        """Append *count* fresh RR sets to *collection*."""
-        if count < 0:
-            raise ParameterError(f"count must be non-negative, got {count}")
-        if collection.n != self.graph.n:
-            raise ParameterError(
-                "collection node universe does not match the sampler's graph"
-            )
-        edges_before = self.edges_examined
-        nodes_before = self.nodes_touched
-        started = time.perf_counter()
-        for _ in range(count):
-            collection.append(self.sample_one())
-        self.fill_seconds += time.perf_counter() - started
-        obs = self.obs
-        obs.count("sampling.rr_sets", count)
-        obs.count("sampling.edges", self.edges_examined - edges_before)
-        obs.count("sampling.nodes", self.nodes_touched - nodes_before)
-
-    def new_collection(self, count: int = 0) -> RRCollection:
-        """Create a collection over this graph, optionally pre-filled."""
-        collection = RRCollection(self.graph.n)
-        if count:
-            self.fill(collection, count)
-        return collection
+__all__ = ["RRSampler"]

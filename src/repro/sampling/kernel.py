@@ -1,65 +1,61 @@
-"""Frontier-batched RR-sampling kernels with a fixed RNG contract.
+"""Frontier-batched RR-sampling kernels and the sampler that drives them.
 
-The scalar samplers (:mod:`repro.sampling.rrset_ic` and friends) pay
-Python-interpreter cost per BFS node; the legacy batched sampler
-(:mod:`repro.sampling.batch`) removes most of it but consumes
-randomness in its own order, so the two streams are not comparable.
-This module defines a third regime — the *kernel* — whose defining
-property is a **frozen RNG-consumption contract** with two
-interchangeable implementations:
+:class:`RRSampler` is the one way the program draws RR sets: OPIM,
+OPIM-C, the baselines, the serve engine and every
+:class:`~repro.sampling.service.SamplingPool` chunk all sample through
+it.  It hands batches of roots to a *kernel* whose defining property
+is a **frozen RNG-consumption contract** with two interchangeable
+implementations:
 
 ``kernel="python"``
     A deliberately explicit, loop-based reference: the equivalence
     oracle.  Slow, but every coin flip is visible.
 ``kernel="vectorized"``
-    The production engine: it advances *all* in-flight RR sets of a
-    batch one frontier level at a time with numpy gather/scatter over
-    the CSR in-adjacency.  Bitwise-identical to ``"python"``.
-``kernel="numba"``
-    Optional: the same driver with the IC frontier expansion JIT
-    compiled.  Import-guarded and off by default; selecting it without
-    numba installed is a :class:`~repro.exceptions.ParameterError`.
-    Models other than IC fall back to the vectorized expansion.
-    By construction it is bitwise-identical to ``"vectorized"``.
+    The production engine (the default): it advances *all* in-flight
+    RR sets of a batch one frontier level at a time with numpy
+    gather/scatter over the CSR in-adjacency.  Bitwise-identical to
+    ``"python"``.
 
-The RNG contract (per chunk sampler, seeded once)
--------------------------------------------------
-1. Roots for a batch of ``b`` RR sets are drawn with **one** call
-   ``rng.integers(0, n, size=b)``.
+The RNG contract (per sampler, seeded once)
+-------------------------------------------
+1. Batching: a sampler draws RR sets in batches of at most
+   :func:`batch_cap` ``(n) = max(1, 2 MiB // n)`` sets, so a batch's
+   dense ``(batch, n)`` visited matrix stays within 2 MiB.
+   ``fill(count)`` first hands out sets buffered by ``sample_one``,
+   then draws consecutive batches of ``min(cap, remaining)`` sets and
+   appends them in stream order; ``sample_one()`` draws batches of
+   ``min(cap, 256)`` sets and hands them out one at a time.  The split
+   is a pure function of ``(n, count)``, so a pool chunk (one ``fill``
+   on a fresh sampler) consumes randomness as a pure function of its
+   seed and size.  The roots of a batch of ``b`` sets are drawn with
+   **one** call, ``rng.integers(0, n, size=b)`` (or one weighted draw,
+   see :meth:`RRSampler._draw_roots`).
 2. IC: each frontier level gathers the in-edges of every active
    frontier node — sets in ascending set order, each set's frontier in
    ascending node order, edges in CSR order — and draws **one** coin
    array ``rng.random(total_edges)`` for the whole level.
-3. LT: each walk step draws three arrays from the chunk's generator:
-   continue coins for all active walks, then column coins and alias
-   accept coins for the surviving walks (walks stay in set order).
+3. LT: each walk step draws three arrays from the generator: continue
+   coins for all active walks, then column coins and alias accept
+   coins for the surviving walks (walks stay in set order).
 4. Triggering: frontier nodes are expanded in the same (set, node)
    order, one ``triggering_sets(node, rng)`` call per node.
 5. Nodes discovered within one level are appended per set in ascending
    node id order (duplicates collapse to the first discovery).
 
-Every implementation must consume the generator in exactly this order,
-which is what makes the kernels interchangeable *per (chunk,
-set-index)*: swap the kernel under a :class:`~repro.sampling.service.
-SamplingPool` and every chunk — and therefore every manifest,
-warm-index restart, and crash-requeued stream — reproduces bitwise.
-``edges_examined`` (the gamma cost measure of Borgs et al.'s online
-analysis) is likewise identical across kernels: IC charges each
-expanded node its in-degree, LT charges one edge per surviving walk
-step, and triggering charges the in-degree worst case, exactly as the
-scalar samplers do.
-
-Selection is explicit (``kernel=`` arguments) or ambient through the
-``REPRO_KERNEL`` environment variable, which
-:func:`resolve_kernel` consults when no explicit choice is given;
-unset means "legacy samplers, streams unchanged".
+Both kernels consume the generator in exactly this order, which is
+what makes them interchangeable *per (chunk, set-index)*: every chunk
+of a :class:`~repro.sampling.service.SamplingPool` — and therefore
+every manifest, warm-index restart, and crash-requeued stream —
+reproduces bitwise.  ``edges_examined`` (the gamma cost measure of
+Borgs et al.'s online analysis) is likewise identical across kernels:
+IC charges each expanded node its in-degree, LT charges one edge per
+surviving walk step, and triggering charges the in-degree worst case.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,74 +69,52 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "KERNELS",
-    "ENV_VAR",
     "AUTO_KERNEL",
-    "HAVE_NUMBA",
+    "BATCH_BYTES",
+    "SAMPLE_ONE_BATCH",
+    "batch_cap",
     "resolve_kernel",
     "sample_rr_sets_kernel",
     "sample_rr_sets_ic_kernel",
     "sample_rr_sets_lt_kernel",
     "sample_rr_sets_triggering_kernel",
+    "RRSampler",
     "KernelRRSampler",
 ]
 
-#: Recognized kernel names (`None` elsewhere means "legacy samplers").
-KERNELS = ("python", "vectorized", "numba")
+#: Recognized kernel names.
+KERNELS = ("python", "vectorized")
 
-#: Environment variable consulted by :func:`resolve_kernel`.
-ENV_VAR = "REPRO_KERNEL"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the common case in CI
-    _numba = None
-    HAVE_NUMBA = False
-
-
-#: Sentinel meaning "consult ``$REPRO_KERNEL``" (the default at every
-#: entry point); contrast with ``None``, which pins the legacy samplers
-#: regardless of the environment (what a legacy manifest restores as).
+#: The production kernel's alias: ``resolve_kernel(AUTO_KERNEL)`` is
+#: ``"vectorized"``.
 AUTO_KERNEL = "auto"
 
+#: Byte budget of one batch's dense ``(batch, n)`` visited matrix
+#: (RNG-contract item 1).
+BATCH_BYTES = 2 * 1024 * 1024
 
-def resolve_kernel(kernel: Optional[str] = AUTO_KERNEL) -> Optional[str]:
-    """Normalize a kernel choice.
+#: RR sets one ``sample_one`` refill draws (at most the cap).
+SAMPLE_ONE_BATCH = 256
 
-    ``"auto"`` (the default) falls back to ``$REPRO_KERNEL``; ``None``
-    — and an unset/empty environment variable under ``"auto"`` —
-    resolves to ``None``, the legacy samplers, leaving every existing
-    stream bitwise untouched.  An unknown name, or requesting
-    ``"numba"`` without numba importable, raises
-    :class:`ParameterError`.
+
+def batch_cap(n: int) -> int:
+    """Most RR sets one kernel call draws on an *n*-node graph."""
+    return max(1, BATCH_BYTES // n)
+
+
+def resolve_kernel(kernel: str = AUTO_KERNEL) -> str:
+    """Normalize a kernel name; ``"auto"`` is ``"vectorized"``.
+
+    An unknown name raises :class:`ParameterError`.
     """
-    if kernel == AUTO_KERNEL:
-        kernel = os.environ.get(ENV_VAR) or None
-    if kernel is None:
-        return None
     kernel = str(kernel).lower()
+    if kernel == AUTO_KERNEL:
+        return "vectorized"
     if kernel not in KERNELS:
         raise ParameterError(
-            f"kernel must be one of {KERNELS} (or None for the legacy "
-            f"samplers), got {kernel!r}"
-        )
-    if kernel == "numba" and not HAVE_NUMBA:
-        raise ParameterError(
-            "kernel='numba' requested but numba is not installed; "
-            "use 'vectorized' (bitwise-identical stream)"
+            f"kernel must be one of {KERNELS}, got {kernel!r}"
         )
     return kernel
-
-
-def _require_kernel(kernel: str) -> str:
-    resolved = resolve_kernel(kernel)
-    if resolved is None:
-        raise ParameterError(
-            "a concrete kernel name is required here; resolve_kernel "
-            "returned None (legacy samplers)"
-        )
-    return resolved
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +156,6 @@ def _ic_python(
     Consumes exactly one ``rng.random(total)`` array per level (contract
     item 2) but walks it edge by edge in explicit Python.
     """
-    n = graph.n
     offsets = graph.in_offsets
     sources = graph.in_sources
     probs = graph.in_probs
@@ -218,82 +191,18 @@ def _ic_python(
             rr_sets[s].extend(level_nodes)
             frontier[s] = level_nodes
     sets = [np.asarray(nodes, dtype=np.int32) for nodes in rr_sets]
-    _ = n  # the universe size is implicit in the visited sets
     return sets, edges_examined, levels
 
 
-def _ic_expand_numpy(
-    offsets: np.ndarray,
-    sources: np.ndarray,
-    probs: np.ndarray,
-    frontier_sets: np.ndarray,
-    frontier_nodes: np.ndarray,
-    coins: np.ndarray,
-    visited: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """One vectorized IC level: gathered edges -> sorted fresh codes."""
-    starts = offsets[frontier_nodes]
-    lengths = offsets[frontier_nodes + 1] - starts
-    cum = np.cumsum(lengths)
-    index = np.arange(coins.shape[0], dtype=np.int64) + np.repeat(
-        starts - np.concatenate(([0], cum[:-1])), lengths
-    )
-    live = coins < probs[index]
-    if not live.any():
-        return np.empty(0, dtype=np.int64)
-    live_sets = np.repeat(frontier_sets, lengths)[live]
-    live_nodes = sources[index][live].astype(np.int64)
-    unvisited = ~visited[live_sets, live_nodes]
-    if not unvisited.any():
-        return np.empty(0, dtype=np.int64)
-    return np.unique(live_sets[unvisited] * np.int64(n) + live_nodes[unvisited])
-
-
-if HAVE_NUMBA:  # pragma: no cover - requires optional numba
-
-    @_numba.njit(cache=True)
-    def _ic_expand_jit(  # type: ignore[misc]
-        offsets, sources, probs, frontier_sets, frontier_nodes, coins, visited, n
-    ):
-        """JIT twin of :func:`_ic_expand_numpy`.
-
-        Marks visited during the scan (first discovery wins) and sorts
-        the collected codes, which equals ``np.unique`` over the fresh
-        hits — the same sorted-per-level contract.
-        """
-        fresh = np.empty(coins.shape[0], dtype=np.int64)
-        count = 0
-        pos = 0
-        for i in range(frontier_nodes.shape[0]):
-            u = frontier_nodes[i]
-            s = frontier_sets[i]
-            for e in range(offsets[u], offsets[u + 1]):
-                if coins[pos] < probs[e]:
-                    w = sources[e]
-                    if not visited[s, w]:
-                        visited[s, w] = True
-                        fresh[count] = s * n + w
-                        count += 1
-                pos += 1
-        out = fresh[:count]
-        out.sort()
-        return out
-
-
 def _ic_fast(
-    graph: DiGraph,
-    roots: np.ndarray,
-    rng: np.random.Generator,
-    kernel: str,
+    graph: DiGraph, roots: np.ndarray, rng: np.random.Generator
 ) -> Tuple[List[np.ndarray], int, int]:
-    """Frontier-batched IC expansion (vectorized or numba inner step)."""
+    """Frontier-batched IC expansion: one gather/scatter pass per level."""
     n = graph.n
     offsets = graph.in_offsets
     sources = graph.in_sources
     probs = graph.in_probs
     batch = roots.shape[0]
-    use_jit = kernel == "numba" and HAVE_NUMBA
 
     visited = np.zeros((batch, n), dtype=bool)
     frontier_sets = np.arange(batch, dtype=np.int64)
@@ -306,29 +215,29 @@ def _ic_fast(
 
     while frontier_nodes.size:
         levels += 1
-        total = int(
-            (offsets[frontier_nodes + 1] - offsets[frontier_nodes]).sum()
-        )
+        starts = offsets[frontier_nodes]
+        lengths = offsets[frontier_nodes + 1] - starts
+        total = int(lengths.sum())
         edges_examined += total
         if total == 0:
             break
         coins = rng.random(total)
-        if use_jit:  # pragma: no cover - requires optional numba
-            codes = _ic_expand_jit(
-                offsets, sources, probs, frontier_sets, frontier_nodes,
-                coins, visited, n,
-            )
-        else:
-            codes = _ic_expand_numpy(
-                offsets, sources, probs, frontier_sets, frontier_nodes,
-                coins, visited, n,
-            )
-        if codes.size == 0:
+        cum = np.cumsum(lengths)
+        index = np.arange(total, dtype=np.int64) + np.repeat(
+            starts - np.concatenate(([0], cum[:-1])), lengths
+        )
+        live = coins < probs[index]
+        live_sets = np.repeat(frontier_sets, lengths)[live]
+        live_nodes = sources[index][live].astype(np.int64)
+        unvisited = ~visited[live_sets, live_nodes]
+        if not unvisited.any():
             break
+        codes = np.unique(
+            live_sets[unvisited] * np.int64(n) + live_nodes[unvisited]
+        )
         frontier_sets = codes // n
         frontier_nodes = codes % n
-        if not use_jit:
-            visited[frontier_sets, frontier_nodes] = True
+        visited[frontier_sets, frontier_nodes] = True
         sample_chunks.append(frontier_sets)
         node_chunks.append(frontier_nodes)
 
@@ -347,13 +256,13 @@ def sample_rr_sets_ic_kernel(
     starts with ``roots[i]``.  All kernels are bitwise-interchangeable
     for the same generator state.
     """
-    kernel = _require_kernel(kernel)
+    kernel = resolve_kernel(kernel)
     roots = np.asarray(roots, dtype=np.int64)
     if roots.shape[0] == 0:
         return [], 0, 0
     if kernel == "python":
         return _ic_python(graph, roots, rng)
-    return _ic_fast(graph, roots, rng, kernel)
+    return _ic_fast(graph, roots, rng)
 
 
 # ----------------------------------------------------------------------
@@ -469,11 +378,9 @@ def sample_rr_sets_lt_kernel(
     """Sample one LT RR set per root under the kernel RNG contract.
 
     Returns ``(rr_sets, edges_examined, steps)``.  The column draw uses
-    ``floor(coin * degree)`` (contract item 3), so the stream differs
-    from the scalar sampler's ``Generator.integers`` — but is identical
-    across kernels.
+    ``floor(coin * degree)`` (contract item 3).
     """
-    kernel = _require_kernel(kernel)
+    kernel = resolve_kernel(kernel)
     roots = np.asarray(roots, dtype=np.int64)
     if roots.shape[0] == 0:
         return [], 0, 0
@@ -498,10 +405,10 @@ def sample_rr_sets_triggering_kernel(
     kernels call it once per expanded frontier node in the contract's
     (set, node) order; ``"vectorized"`` batches only the bookkeeping
     (dedup, visited marking).  ``edges_examined`` charges each expanded
-    node its in-degree, matching
-    :func:`repro.sampling.rrset_triggering.sample_rr_set_triggering`.
+    node its in-degree (the worst-case work of materializing its
+    triggering set).
     """
-    kernel = _require_kernel(kernel)
+    kernel = resolve_kernel(kernel)
     roots = np.asarray(roots, dtype=np.int64)
     batch = roots.shape[0]
     if batch == 0:
@@ -611,28 +518,36 @@ def sample_rr_sets_kernel(
 
 
 # ----------------------------------------------------------------------
-# Sampler facade
+# The sampler
 # ----------------------------------------------------------------------
-class KernelRRSampler:
-    """Streaming RR-set sampler backed by a frontier-batched kernel.
+class RRSampler:
+    """Streaming generator of random RR sets (see the module docs).
 
-    Implements the sampler duck type used across the codebase
-    (``fill`` / ``sample_one`` / ``new_collection`` / counters), so it
-    can replace :class:`~repro.sampling.generator.RRSampler` inside
-    :func:`~repro.sampling.service.generate_chunk` chunks, OPIM
-    sessions, and the serve engine.
+    Parameters
+    ----------
+    graph:
+        Weighted :class:`DiGraph`.
+    model:
+        ``"IC"``, ``"LT"``, or ``"TRIGGERING"`` (with
+        *triggering_sets*, a :data:`TriggeringSetSampler` such as
+        :func:`~repro.sampling.rrset_triggering.fixed_size_triggering_sets`
+        — the paper's Section 6 generalization).
+    seed:
+        RNG seed or generator; all randomness of this sampler flows
+        through it.
+    kernel:
+        ``"vectorized"`` (production) or ``"python"`` (the equivalence
+        oracle); both draw the identical stream.
+    registry:
+        Optional :class:`~repro.obs.MetricsRegistry`.  When given, the
+        sampler maintains the ``sampling.rr_sets`` / ``sampling.edges``
+        / ``sampling.nodes`` and ``kernel.batches`` / ``kernel.levels``
+        counters; by default the no-op registry is used.
 
-    Determinism: the stream is a pure function of ``(seed, sequence of
-    fill/sample_one calls)``.  ``fill`` generates exactly the shortfall
-    in one batched kernel call, so a chunk sampler (one ``fill`` per
-    chunk, as :class:`~repro.sampling.service.SamplingPool` issues
-    them) consumes randomness as a pure function of the chunk count —
-    the per-(chunk, set-index) contract the pool's manifests and
-    crash-requeue determinism rely on.
-
-    The ``buffered`` property reports RR sets generated but not yet
-    handed out (only ``sample_one`` can leave a remainder); stream
-    state must not be captured while it is nonzero.
+    The stream is a pure function of ``(seed, sequence of fill /
+    sample_one calls)``.  ``sample_one`` leaves the rest of its batch
+    buffered (see :attr:`buffered`); stream state must not be captured
+    while it is nonzero.
     """
 
     def __init__(
@@ -641,7 +556,6 @@ class KernelRRSampler:
         model: str,
         seed: SeedLike = None,
         kernel: str = "vectorized",
-        batch_size: int = 256,
         registry: Optional[object] = None,
         triggering_sets: Optional[TriggeringSetSampler] = None,
     ) -> None:
@@ -658,19 +572,21 @@ class KernelRRSampler:
             raise ParameterError(
                 "graph has no edge probabilities; apply a weighting scheme first"
             )
-        if batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
         self.graph = graph
         self.model = model
-        self.kernel = _require_kernel(kernel)
+        self.kernel = resolve_kernel(kernel)
         self.rng = as_generator(seed)
-        self.batch_size = int(batch_size)
+        self.batch_cap = batch_cap(graph.n)
         self.triggering_sets = triggering_sets
         self.edges_examined = 0
         self.sets_generated = 0
         self.nodes_touched = 0
         self.levels_advanced = 0
+        #: The scale factor in spread estimates and bounds ("n" in the
+        #: paper; samplers with non-uniform roots override it).
         self.universe_weight = float(graph.n)
+        #: Cumulative wall-clock seconds spent inside :meth:`fill`;
+        #: deltas attribute request time to sampling vs. selection.
         self.fill_seconds = 0.0
         self.obs = resolve_registry(registry)
         self._lt_tables: Optional[LTAliasTables] = None
@@ -683,26 +599,29 @@ class KernelRRSampler:
         """RR sets generated but not yet handed out."""
         return len(self._buffer)
 
-    def _generate(
-        self, roots: np.ndarray
-    ) -> Tuple[List[np.ndarray], int, int]:
-        return sample_rr_sets_kernel(
-            self.graph,
-            self.model,
-            roots,
-            self.rng,
-            kernel=self.kernel,
-            lt_tables=self._lt_tables,
-            triggering_sets=self.triggering_sets,
-        )
+    def _draw_roots(self, size: int) -> np.ndarray:
+        """Roots of one batch, in one draw (RNG-contract item 1).
 
-    def _refill(self, count: int) -> None:
-        roots = self.rng.integers(0, self.graph.n, size=count)
+        Uniform over the nodes; samplers with non-uniform roots
+        override this.
+        """
+        return self.rng.integers(0, self.graph.n, size=size)
+
+    def _generate(self, roots: np.ndarray) -> List[np.ndarray]:
+        """One kernel call: an RR set per root, counters updated."""
         with self.obs.trace("kernel/refill"):
-            sets, edges, levels = self._generate(roots)
+            sets, edges, levels = sample_rr_sets_kernel(
+                self.graph,
+                self.model,
+                roots,
+                self.rng,
+                kernel=self.kernel,
+                lt_tables=self._lt_tables,
+                triggering_sets=self.triggering_sets,
+            )
+        nodes = sum(s.shape[0] for s in sets)
         self.edges_examined += edges
         self.levels_advanced += levels
-        nodes = sum(s.shape[0] for s in sets)
         self.nodes_touched += nodes
         obs = self.obs
         obs.count("sampling.rr_sets", len(sets))
@@ -710,34 +629,29 @@ class KernelRRSampler:
         obs.count("sampling.nodes", nodes)
         obs.count("kernel.batches")
         obs.count("kernel.levels", levels)
-        self._buffer.extend(reversed(sets))
+        return sets
 
     def sample_one(self, root: Optional[int] = None) -> np.ndarray:
-        """Sample one RR set; the root is uniform random when omitted."""
+        """Sample one RR set; the root is random when omitted."""
         if root is not None:
             if not 0 <= root < self.graph.n:
                 raise ParameterError(
                     f"root {root} out of range [0, {self.graph.n})"
                 )
-            sets, edges, levels = self._generate(
-                np.array([root], dtype=np.int64)
-            )
-            self.edges_examined += edges
-            self.levels_advanced += levels
-            self.sets_generated += 1
-            self.nodes_touched += sets[0].shape[0]
-            return sets[0]
-        if not self._buffer:
-            self._refill(self.batch_size)
+            nodes = self._generate(np.array([root], dtype=np.int64))[0]
+        else:
+            if not self._buffer:
+                size = min(self.batch_cap, SAMPLE_ONE_BATCH)
+                self._buffer = self._generate(self._draw_roots(size))[::-1]
+            nodes = self._buffer.pop()
         self.sets_generated += 1
-        nodes = self._buffer.pop()
         return nodes
 
     def fill(self, collection: RRCollection, count: int) -> None:
-        """Append *count* fresh RR sets to *collection*.
+        """Append *count* fresh RR sets to *collection*, in stream order.
 
-        Generates exactly the shortfall in one kernel batch, so chunked
-        use (one ``fill`` per chunk) leaves no buffered remainder.
+        Buffered sets go first; the rest is drawn in batches of at most
+        :attr:`batch_cap` sets (RNG-contract item 1).
         """
         if count < 0:
             raise ParameterError(f"count must be non-negative, got {count}")
@@ -746,12 +660,15 @@ class KernelRRSampler:
                 "collection node universe does not match the sampler's graph"
             )
         started = time.perf_counter()
-        needed = count - len(self._buffer)
-        if needed > 0:
-            self._refill(needed)
-        for _ in range(count):
+        buffered = min(count, len(self._buffer))
+        for _ in range(buffered):
             collection.append(self._buffer.pop())
-            self.sets_generated += 1
+        remaining = count - buffered
+        while remaining > 0:
+            size = min(remaining, self.batch_cap)
+            collection.extend(self._generate(self._draw_roots(size)))
+            remaining -= size
+        self.sets_generated += count
         self.fill_seconds += time.perf_counter() - started
 
     def new_collection(self, count: int = 0) -> RRCollection:
@@ -766,7 +683,7 @@ class KernelRRSampler:
         """Snapshot of the stream position (for warm-index manifests)."""
         if self._buffer:
             raise StateError(
-                f"cannot capture kernel sampler state with "
+                f"cannot capture sampler state with "
                 f"{len(self._buffer)} buffered RR sets"
             )
         return {
@@ -782,8 +699,9 @@ class KernelRRSampler:
         """Resume the stream captured by :meth:`state`."""
         if state.get("kind") != "serial-kernel":
             raise ParameterError(
-                f"cannot restore sampler state of kind {state.get('kind')!r} "
-                "into a KernelRRSampler"
+                f"index was sampled with a {state.get('kind')!r} sampler "
+                "but this is a serial sampler; start with the matching "
+                "workers configuration to keep the stream deterministic"
             )
         if state.get("kernel") != self.kernel:
             raise ParameterError(
@@ -803,18 +721,10 @@ class KernelRRSampler:
 
     def __repr__(self) -> str:
         return (
-            f"KernelRRSampler(graph={self.graph.name!r}, "
+            f"{type(self).__name__}(graph={self.graph.name!r}, "
             f"model={self.model!r}, kernel={self.kernel!r})"
         )
 
 
-def fill_reference(
-    sets_a: Sequence[np.ndarray], sets_b: Sequence[np.ndarray]
-) -> bool:
-    """True when two RR collections are bitwise-identical (order too)."""
-    if len(sets_a) != len(sets_b):
-        return False
-    return all(
-        a.shape == b.shape and bool(np.array_equal(a, b))
-        for a, b in zip(sets_a, sets_b)
-    )
+#: Former name of :class:`RRSampler`, kept as an import path.
+KernelRRSampler = RRSampler

@@ -1,4 +1,4 @@
-"""Random RR-set generation under the LT model (paper, Appendix A).
+"""Alias tables for LT-model RR sets (paper, Appendix A).
 
 An LT RR set rooted at ``v`` is a *reverse random walk*: at the current
 node ``u`` the walk stops with probability ``1 - sum_w p(w, u)`` and
@@ -6,7 +6,8 @@ otherwise moves to one in-neighbor ``x`` chosen with probability
 proportional to ``p(x, u)``.  The walk also stops upon revisiting a
 node (under the LT live-edge interpretation each node selects at most
 one incoming edge, so the reverse reachable subgraph is a path until it
-closes a cycle).
+closes a cycle).  The walks themselves run in
+:func:`repro.sampling.kernel.sample_rr_sets_lt_kernel`.
 
 Per-node alias tables (:class:`LTAliasTables`) make each step O(1), as
 in the paper's Appendix A, after an O(n + m) preprocessing pass.
@@ -14,13 +15,10 @@ in the paper's Appendix A, after an O(n + m) preprocessing pass.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.sampling.alias import build_alias_arrays
-from repro.sampling.rrset_ic import Scratch
 
 
 class LTAliasTables:
@@ -34,11 +32,10 @@ class LTAliasTables:
       local in-neighbor indices ``0 .. hi-lo-1``.
     """
 
-    __slots__ = ("graph", "accept", "alias", "continue_prob")
+    __slots__ = ("accept", "alias", "continue_prob")
 
     def __init__(self, graph: DiGraph) -> None:
         graph.validate_lt()
-        self.graph = graph
         m = graph.m
         self.accept = np.ones(m, dtype=np.float64)
         self.alias = np.zeros(m, dtype=np.int64)
@@ -59,60 +56,3 @@ class LTAliasTables:
             accept, alias = build_alias_arrays(local)
             self.accept[lo:hi] = accept
             self.alias[lo:hi] = alias
-
-    def sample_in_neighbor(self, u: int, rng: np.random.Generator) -> int:
-        """Draw one in-neighbor of *u* (assumes in-degree > 0)."""
-        lo = int(self.graph.in_offsets[u])
-        hi = int(self.graph.in_offsets[u + 1])
-        d = hi - lo
-        column = int(rng.integers(0, d))
-        if rng.random() >= self.accept[lo + column]:
-            column = int(self.alias[lo + column])
-        return int(self.graph.in_sources[lo + column])
-
-
-def sample_rr_set_lt(
-    graph: DiGraph,
-    root: int,
-    rng: np.random.Generator,
-    tables: LTAliasTables,
-    scratch: Optional[Scratch] = None,
-    stats=None,
-) -> Tuple[np.ndarray, int]:
-    """Sample one LT-model RR set rooted at *root*.
-
-    Returns ``(nodes, edges_examined)`` where the edge count increments
-    once per walk step (each step examines one sampled in-edge in O(1),
-    per the alias-method analysis in Appendix A).  ``stats`` is an
-    optional :class:`repro.obs.RRSetStats` hook observing the walk's
-    node/edge counts (only passed when a metrics registry is enabled).
-    """
-    if scratch is None:
-        scratch = Scratch(graph.n)
-    stamp = scratch.next_stamp()
-    visited = scratch.visited
-    path = scratch.queue
-
-    visited[root] = stamp
-    path[0] = root
-    length = 1
-    edges_examined = 0
-
-    u = root
-    continue_prob = tables.continue_prob
-    while True:
-        cp = continue_prob[u]
-        if cp <= 0.0 or rng.random() >= cp:
-            break
-        edges_examined += 1
-        w = tables.sample_in_neighbor(u, rng)
-        if visited[w] == stamp:
-            break
-        visited[w] = stamp
-        path[length] = w
-        length += 1
-        u = w
-
-    if stats is not None:
-        stats.observe_set(length, edges_examined)
-    return path[:length].copy(), edges_examined

@@ -8,11 +8,12 @@ in-neighbors, and a live-edge graph keeps exactly the edges
 
 A random RR set rooted at ``v`` is then the set of nodes that reach
 ``v`` in the live-edge graph — computable *lazily* by a reverse BFS
-that samples ``T(u)`` only for nodes ``u`` it actually reaches.  This
-module implements that lazy reverse traversal for an arbitrary
-triggering-set sampler, which lets :class:`TriggeringRRSampler` (and
-therefore OPIM / OPIM-C, via their ``sampler`` injection point) run on
-any triggering-model instance, exactly as the paper's Section 6
+that samples ``T(u)`` only for nodes ``u`` it actually reaches.
+:func:`repro.sampling.kernel.sample_rr_sets_triggering_kernel` runs
+that lazy reverse traversal for an arbitrary triggering-set sampler,
+so ``RRSampler(graph, "TRIGGERING", triggering_sets=...)`` (and
+therefore OPIM / OPIM-C, via their ``sampler`` injection point) runs
+on any triggering-model instance, exactly as the paper's Section 6
 analysis permits.
 
 Provided triggering-set samplers:
@@ -28,14 +29,13 @@ Provided triggering-set samplers:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.digraph import DiGraph
 from repro.sampling.alias import build_alias_arrays
-from repro.sampling.rrset_ic import Scratch
 
 #: ``f(node, rng) -> array of sampled in-neighbors`` (the node's T(v)).
 TriggeringSetSampler = Callable[[int, np.random.Generator], np.ndarray]
@@ -106,126 +106,3 @@ def fixed_size_triggering_sets(graph: DiGraph, r: int) -> TriggeringSetSampler:
         return sources[lo + picks]
 
     return sample
-
-
-def sample_rr_set_triggering(
-    graph: DiGraph,
-    root: int,
-    rng: np.random.Generator,
-    triggering_sets: TriggeringSetSampler,
-    scratch: Optional[Scratch] = None,
-    stats=None,
-) -> Tuple[np.ndarray, int]:
-    """Sample one RR set under the triggering model given by
-    *triggering_sets*, rooted at *root*.
-
-    Returns ``(nodes, edges_examined)``; the cost counter charges each
-    visited node its in-degree (the worst-case work of materializing
-    its triggering set), matching the triggering-model cost analysis of
-    Tang et al. 2014 cited in the paper.
-    """
-    if scratch is None:
-        scratch = Scratch(graph.n)
-    stamp = scratch.next_stamp()
-    visited = scratch.visited
-    queue = scratch.queue
-
-    visited[root] = stamp
-    queue[0] = root
-    head, tail = 0, 1
-    edges_examined = 0
-    in_degrees = np.diff(graph.in_offsets)
-
-    while head < tail:
-        u = int(queue[head])
-        head += 1
-        edges_examined += int(in_degrees[u])
-        triggers = triggering_sets(u, rng)
-        if triggers.size == 0:
-            continue
-        fresh = triggers[visited[triggers] != stamp]
-        if fresh.size == 0:
-            continue
-        # A triggering set may not repeat nodes by construction (it is
-        # a subset of distinct in-neighbors), so stamping is safe.
-        visited[fresh] = stamp
-        queue[tail : tail + fresh.size] = fresh
-        tail += fresh.size
-
-    if stats is not None:
-        stats.observe_set(tail, edges_examined)
-    return queue[:tail].copy(), edges_examined
-
-
-class TriggeringRRSampler:
-    """Streaming RR-set generator for an arbitrary triggering model.
-
-    Duck-type compatible with :class:`repro.sampling.generator.RRSampler`
-    (``sample_one`` / ``fill`` / ``new_collection`` / counters), so it
-    can be injected into :class:`~repro.core.opim.OnlineOPIM` and
-    :class:`~repro.core.opimc.OPIMC`.
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        triggering_sets: TriggeringSetSampler,
-        seed=None,
-        registry=None,
-    ) -> None:
-        from repro.obs import RRSetStats, resolve_registry
-        from repro.utils.rng import as_generator
-
-        self.graph = graph
-        self.model = "TRIGGERING"
-        self.triggering_sets = triggering_sets
-        self.rng = as_generator(seed)
-        self.edges_examined = 0
-        self.sets_generated = 0
-        self.nodes_touched = 0
-        self.universe_weight = float(graph.n)
-        self.obs = resolve_registry(registry)
-        self._rr_stats = RRSetStats(self.obs) if self.obs.enabled else None
-        self._scratch = Scratch(graph.n)
-
-    def sample_one(self, root=None) -> np.ndarray:
-        if root is None:
-            root = int(self.rng.integers(0, self.graph.n))
-        elif not 0 <= root < self.graph.n:
-            raise ParameterError(f"root {root} out of range [0, {self.graph.n})")
-        nodes, edges = sample_rr_set_triggering(
-            self.graph,
-            root,
-            self.rng,
-            self.triggering_sets,
-            self._scratch,
-            self._rr_stats,
-        )
-        self.edges_examined += edges
-        self.sets_generated += 1
-        self.nodes_touched += nodes.shape[0]
-        return nodes
-
-    def fill(self, collection, count: int) -> None:
-        if count < 0:
-            raise ParameterError(f"count must be non-negative, got {count}")
-        if collection.n != self.graph.n:
-            raise ParameterError(
-                "collection node universe does not match the sampler's graph"
-            )
-        edges_before = self.edges_examined
-        nodes_before = self.nodes_touched
-        for _ in range(count):
-            collection.append(self.sample_one())
-        obs = self.obs
-        obs.count("sampling.rr_sets", count)
-        obs.count("sampling.edges", self.edges_examined - edges_before)
-        obs.count("sampling.nodes", self.nodes_touched - nodes_before)
-
-    def new_collection(self, count: int = 0):
-        from repro.sampling.collection import RRCollection
-
-        collection = RRCollection(self.graph.n)
-        if count:
-            self.fill(collection, count)
-        return collection

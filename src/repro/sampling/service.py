@@ -1,10 +1,10 @@
 """Persistent shared-memory parallel RR-set sampling service.
 
-The per-call :func:`repro.sampling.parallel.parallel_fill` spins up a
-fresh process pool and re-pickles the whole CSR graph on every call,
-so its fixed cost dwarfs the sampling work for the quotas OPIM-C's
-doubling loop (Algorithm 2) actually requests.  :class:`SamplingPool`
-amortizes that infrastructure across an entire algorithm run:
+A per-call process pool would re-pickle the whole CSR graph on every
+fill, a fixed cost that dwarfs the sampling work for the quotas
+OPIM-C's doubling loop (Algorithm 2) actually requests.
+:class:`SamplingPool` amortizes that infrastructure across an entire
+algorithm run:
 
 * the graph's six CSR arrays are copied **once** into
   ``multiprocessing.shared_memory`` segments; workers map them
@@ -31,7 +31,10 @@ chunk policy (``min_chunk`` / ``target_chunks``), and the *sequence of
 chunk order, so for a fixed seed the stream of RR sets is bitwise
 identical for ``workers`` 1, 2, 4, ..., identical under worker
 crashes, and identical to running the same chunk schedule serially
-(which is exactly what ``workers=1`` does, in-process).
+(which is exactly what ``workers=1`` does, in-process).  Each chunk
+is one ``fill`` on a fresh :class:`~repro.sampling.kernel.RRSampler`,
+whose batching is a pure function of the chunk size (RNG-contract
+item 1 in :mod:`repro.sampling.kernel`).
 
 The pool implements the sampler duck type used by the core algorithms
 (``fill`` / ``new_collection`` / ``sets_generated`` /
@@ -57,7 +60,7 @@ from repro.exceptions import ParameterError, ServiceError
 from repro.graph.digraph import DiGraph
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
-from repro.sampling.kernel import AUTO_KERNEL, resolve_kernel
+from repro.sampling.kernel import RRSampler
 from repro.utils.rng import SeedLike, fresh_entropy
 
 __all__ = [
@@ -134,12 +137,7 @@ def chunk_seed(root_seed: int, chunk_index: int) -> int:
 
 
 def generate_chunk(
-    graph: DiGraph,
-    model: str,
-    fast: bool,
-    seed: int,
-    count: int,
-    kernel: Optional[str] = AUTO_KERNEL,
+    graph: DiGraph, model: str, seed: int, count: int
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """Generate one chunk of *count* RR sets with a fresh chunk sampler.
 
@@ -147,26 +145,8 @@ def generate_chunk(
     where ``flat_nodes[offsets[i]:offsets[i+1]]`` is the *i*-th RR set.
     Pure given its arguments: the parent (``workers=1``), a pool
     worker, and a crash-recovery re-issue all produce identical bytes.
-
-    *kernel* selects the frontier-batched kernel of
-    :mod:`repro.sampling.kernel` (overriding *fast*); the default
-    ``"auto"`` consults ``$REPRO_KERNEL`` — the same resolution the
-    pool performs, so a direct call and a pool chunk always agree.
-    ``None`` pins the legacy samplers.
     """
-    kernel = resolve_kernel(kernel)
-    if kernel is not None:
-        from repro.sampling.kernel import KernelRRSampler
-
-        sampler: Any = KernelRRSampler(graph, model, seed=seed, kernel=kernel)
-    elif fast:
-        from repro.sampling.batch import BatchRRSampler
-
-        sampler = BatchRRSampler(graph, model, seed=seed)
-    else:
-        from repro.sampling.generator import RRSampler
-
-        sampler = RRSampler(graph, model, seed=seed)
+    sampler = RRSampler(graph, model, seed=seed)
     staging = RRCollection(graph.n)
     sampler.fill(staging, count)
     sets = staging.sets()
@@ -177,6 +157,15 @@ def generate_chunk(
         np.concatenate(sets) if count else np.empty(0, dtype=np.int32)
     )
     return flat, offsets, int(sampler.edges_examined), int(sizes.sum())
+
+
+def _require_pool_state(state: Dict[str, Any]) -> None:
+    if state.get("kind") != "pool":
+        raise ParameterError(
+            f"sampler state of kind {state.get('kind')!r} cannot resume a "
+            "SamplingPool; start with the matching workers configuration "
+            "to keep the stream deterministic"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -265,8 +254,6 @@ def _service_worker(
     worker_id: int,
     spec: Dict[str, Any],
     model: str,
-    fast: bool,
-    kernel: Optional[str],
     task_queue: Any,
     result_queue: Any,
 ) -> None:
@@ -297,7 +284,7 @@ def _service_worker(
             started = time.perf_counter()
             try:
                 flat, offsets, edges, nodes = generate_chunk(
-                    graph, model, fast, seed, count, kernel=kernel
+                    graph, model, seed, count
                 )
             except BaseException:
                 result_queue.put(
@@ -358,25 +345,15 @@ class SamplingPool:
         ``SeedSequence(seed, spawn_key=(i,))``.  ``None`` draws one
         replayable entropy value (recorded in
         :func:`repro.utils.rng.auto_entropy_log`).
-    fast:
-        Use the vectorized :class:`~repro.sampling.batch.BatchRRSampler`
-        inside each chunk.
-    kernel:
-        Frontier-batched kernel for chunk generation (see
-        :mod:`repro.sampling.kernel`); overrides *fast* when set.  The
-        default ``"auto"`` consults ``$REPRO_KERNEL``; ``None`` pins
-        the legacy samplers.  Part of the determinism contract: the
-        resolved value is recorded in :meth:`state` and must match on
-        restore.
     min_chunk, target_chunks:
         Chunk policy (see :func:`chunk_schedule`).  Both are part of
         the determinism contract: change them and the stream changes.
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; the pool
-        maintains ``service.chunks`` / ``service.worker_restarts`` /
-        ``parallel.workers_capped`` counters, the ``service.shm_bytes``
-        gauge, and the ``service.chunk_seconds`` latency distribution,
-        plus the standard ``sampling.*`` counters.
+        maintains ``service.chunks`` / ``service.worker_restarts``
+        counters, the ``service.shm_bytes`` gauge, and the
+        ``service.chunk_seconds`` latency distribution, plus the
+        standard ``sampling.*`` counters.
     inject_crash_chunks:
         Fault-injection hook for tests: global chunk indices whose
         first dispatch hard-kills the executing worker.  The pool
@@ -396,14 +373,15 @@ class SamplingPool:
     100
     """
 
+    #: The kernel every chunk runs; recorded in :meth:`state`.
+    kernel = "vectorized"
+
     def __init__(
         self,
         graph: DiGraph,
         model: str,
         workers: int = 2,
         seed: SeedLike = None,
-        fast: bool = True,
-        kernel: Optional[str] = AUTO_KERNEL,
         min_chunk: int = DEFAULT_MIN_CHUNK,
         target_chunks: int = DEFAULT_TARGET_CHUNKS,
         registry: Optional[object] = None,
@@ -432,8 +410,6 @@ class SamplingPool:
         self.graph = graph
         self.model = model
         self.workers = int(workers)
-        self.fast = bool(fast)
-        self.kernel = resolve_kernel(kernel)
         self.min_chunk = int(min_chunk)
         self.target_chunks = int(target_chunks)
         self.max_restarts = int(max_restarts)
@@ -510,8 +486,6 @@ class SamplingPool:
                 worker_id,
                 self._spec,
                 self.model,
-                self.fast,
-                self.kernel,
                 task_queue,
                 self._result_queue,
             ),
@@ -652,7 +626,6 @@ class SamplingPool:
         state: Dict[str, Any],
         *,
         workers: int = 2,
-        fast: bool = True,
         registry: Optional[object] = None,
         **kwargs: Any,
     ) -> "SamplingPool":
@@ -664,20 +637,12 @@ class SamplingPool:
         count, which the determinism contract allows — continues the
         exact RR-set stream the crashed process would have produced.
         """
-        if state.get("kind") != "pool":
-            raise ParameterError(
-                f"cannot hand off sampler state of kind {state.get('kind')!r} "
-                "to a SamplingPool"
-            )
+        _require_pool_state(state)
         pool = cls(
             graph,
             model,
             workers=workers,
             seed=int(state["seed"]),
-            fast=fast,
-            # A state captured before the kernel switch existed pins the
-            # legacy samplers (None), regardless of $REPRO_KERNEL.
-            kernel=state.get("kernel"),
             min_chunk=int(state["min_chunk"]),
             target_chunks=int(state["target_chunks"]),
             registry=registry,
@@ -698,6 +663,7 @@ class SamplingPool:
         the determinism contract, so a mismatch is an error rather
         than a silent stream change.
         """
+        _require_pool_state(state)
         for field in ("seed", "min_chunk", "target_chunks"):
             if int(state[field]) != int(getattr(self, field)):
                 raise ParameterError(
@@ -705,13 +671,6 @@ class SamplingPool:
                     f"{state[field]} at capture but the pool has "
                     f"{getattr(self, field)}"
                 )
-        if state.get("kernel") != self.kernel:
-            raise ParameterError(
-                f"cannot restore sampling state: kernel was "
-                f"{state.get('kernel')!r} at capture but the pool runs "
-                f"{self.kernel!r}; use the matching kernel to keep the "
-                "stream deterministic"
-            )
         if self._next_chunk != 0 or self.sets_generated != 0:
             raise ParameterError(
                 "cannot restore sampling state into a pool that has "
@@ -730,10 +689,7 @@ class SamplingPool:
         results = {}
         for index, seed, chunk in tasks:
             started = time.perf_counter()
-            results[index] = generate_chunk(
-                self.graph, self.model, self.fast, seed, chunk,
-                kernel=self.kernel,
-            )
+            results[index] = generate_chunk(self.graph, self.model, seed, chunk)
             elapsed = time.perf_counter() - started
             self._observe_chunk(elapsed)
             if self.obs.current_trace() is not None:

@@ -35,9 +35,8 @@ from repro.exceptions import ParameterError, StateError
 from repro.graph.digraph import DiGraph
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
-from repro.sampling.generator import RRSampler
 from repro.sampling.hop import DEFAULT_HOPS, HopEstimator
-from repro.sampling.kernel import AUTO_KERNEL, KernelRRSampler, resolve_kernel
+from repro.sampling.kernel import RRSampler
 from repro.sampling.service import SamplingPool
 from repro.serve.index import (
     graph_fingerprint,
@@ -71,16 +70,9 @@ class SeedQueryEngine:
     workers:
         ``> 1`` streams through a warm
         :class:`~repro.sampling.service.SamplingPool`; otherwise a
-        serial :class:`~repro.sampling.generator.RRSampler` is used.
-    kernel:
-        Frontier-batched sampling kernel (see
-        :mod:`repro.sampling.kernel`).  The default ``"auto"``
-        consults ``$REPRO_KERNEL``; ``None`` pins the legacy samplers.
-        With a kernel selected, ``workers=1`` runs a serial
-        :class:`~repro.sampling.kernel.KernelRRSampler` and pools pass
-        the kernel into every chunk.  The resolved choice is part of
-        the stream's identity: it is recorded in saved indexes and
-        must match on warm start.
+        serial :class:`~repro.sampling.kernel.RRSampler` is used.
+        The two draw different streams, so an index warm-starts only
+        an engine with the same choice.
     delta:
         Total failure budget *per k* (default ``1/n``); each per-``k``
         session schedules its queries under ``delta / 2^i``.
@@ -110,7 +102,6 @@ class SeedQueryEngine:
         model: str = "IC",
         seed: int = 2018,
         workers: Optional[int] = None,
-        kernel: Optional[str] = AUTO_KERNEL,
         delta: Optional[float] = None,
         index_dir: Optional[PathLike] = None,
         step: int = DEFAULT_STEP,
@@ -132,21 +123,17 @@ class SeedQueryEngine:
         self.on_answer = on_answer
         self.graph_hash = graph_fingerprint(graph)
         self.workers = int(workers) if workers is not None else 1
-        self.kernel = resolve_kernel(kernel)
         if self.workers > 1:
             self.sampler: Any = SamplingPool(
                 graph, self.model, workers=self.workers,
-                seed=self.seed, kernel=self.kernel, registry=self.obs,
-            )
-        elif self.kernel is not None:
-            self.sampler = KernelRRSampler(
-                graph, self.model, seed=self.seed, kernel=self.kernel,
-                registry=self.obs,
+                seed=self.seed, registry=self.obs,
             )
         else:
             self.sampler = RRSampler(
                 graph, self.model, seed=self.seed, registry=self.obs
             )
+        #: The sampling kernel behind the stream (reported in stats).
+        self.kernel = self.sampler.kernel
         self._hop: Optional[HopEstimator] = None
         self.r1 = RRCollection(graph.n)
         self.r2 = RRCollection(graph.n)
@@ -528,10 +515,11 @@ class SeedQueryEngine:
             manifest = save_manifest(
                 self.index_dir,
                 graph=self.graph,
+                graph_hash=self.graph_hash,
                 model=self.model,
                 theta1=len(self.r1),
                 theta2=len(self.r2),
-                sampler_state=self._sampler_state(),
+                sampler_state=self.sampler.state(),
                 seed=self.seed,
                 extra={"sessions": schedule} if schedule else None,
             )
@@ -564,40 +552,6 @@ class SeedQueryEngine:
     # ------------------------------------------------------------------
     # Index persistence
     # ------------------------------------------------------------------
-    def _sampler_state(self) -> Dict[str, Any]:
-        if isinstance(self.sampler, (SamplingPool, KernelRRSampler)):
-            return self.sampler.state()
-        return {
-            "kind": "serial",
-            "rng_state": self.sampler.rng.bit_generator.state,
-            "sets_generated": int(self.sampler.sets_generated),
-            "edges_examined": int(self.sampler.edges_examined),
-            "nodes_touched": int(self.sampler.nodes_touched),
-        }
-
-    def _restore_sampler(self, state: Dict[str, Any]) -> None:
-        kind = state.get("kind")
-        if isinstance(self.sampler, SamplingPool):
-            expected = "pool"
-        elif isinstance(self.sampler, KernelRRSampler):
-            expected = "serial-kernel"
-        else:
-            expected = "serial"
-        if kind != expected:
-            raise ParameterError(
-                f"index was sampled with a {kind!r} sampler but the engine "
-                f"runs {expected!r}; start the engine with the matching "
-                "workers/kernel configuration to keep the stream "
-                "deterministic"
-            )
-        if isinstance(self.sampler, (SamplingPool, KernelRRSampler)):
-            self.sampler.restore_state(state)
-        else:
-            self.sampler.rng.bit_generator.state = state["rng_state"]
-            self.sampler.sets_generated = int(state["sets_generated"])
-            self.sampler.edges_examined = int(state["edges_examined"])
-            self.sampler.nodes_touched = int(state["nodes_touched"])
-
     def save_index(self, directory: Optional[PathLike] = None) -> Dict[str, Any]:
         """Persist the shared sketch (defaults to ``index_dir``)."""
         self._check_open()
@@ -610,10 +564,11 @@ class SeedQueryEngine:
         manifest = save_index(
             target,
             graph=self.graph,
+            graph_hash=self.graph_hash,
             model=self.model,
             r1=self.r1,
             r2=self.r2,
-            sampler_state=self._sampler_state(),
+            sampler_state=self.sampler.state(),
             seed=self.seed,
             extra={"sessions": sessions} if sessions else None,
         )
@@ -633,7 +588,9 @@ class SeedQueryEngine:
         already created.
         """
         self._check_open()
-        loaded = load_index(directory, self.graph, mmap=mmap)
+        loaded = load_index(
+            directory, self.graph, mmap=mmap, graph_hash=self.graph_hash
+        )
         manifest = loaded.manifest
         if manifest["model"] != self.model:
             raise ParameterError(
@@ -645,7 +602,7 @@ class SeedQueryEngine:
                 f"index stream seed {manifest['seed']} does not match "
                 f"engine seed {self.seed}"
             )
-        self._restore_sampler(dict(manifest["sampler_state"]))
+        self.sampler.restore_state(dict(manifest["sampler_state"]))
         self.r1 = loaded.r1
         self.r2 = loaded.r2
         # Resume the saved per-k delta/2^i schedule positions.  A k

@@ -29,6 +29,15 @@ RNG state needed to *continue* the deterministic stream, and the
 theta counts.  Loading validates all of it — serving answers from a
 sketch sampled on a different graph or model would silently void the
 ``1 - delta`` guarantee.
+
+An index is a cache: one written by another format version, or whose
+stream state predates the one production sampler (a ``"serial"``
+sampler state, or a pool state without a ``kernel``), is refused with
+a :class:`~repro.exceptions.GraphFormatError` asking for a rebuild.
+
+Hashing the graph is a SHA-256 over its CSR arrays; a caller that
+already holds :func:`graph_fingerprint` (the serve engine computes it
+once) passes it as ``graph_hash`` so checkpoints do not re-hash.
 """
 
 from __future__ import annotations
@@ -47,8 +56,9 @@ from repro.sampling.collection import RRCollection
 
 PathLike = Union[str, Path]
 
-#: Bumped on any incompatible change to the on-disk layout.
-INDEX_FORMAT_VERSION = 1
+#: Bumped on any incompatible change to the on-disk layout or stream
+#: (2: every sampler draws through the vectorized kernel).
+INDEX_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -99,6 +109,7 @@ def save_manifest(
     sampler_state: Dict[str, Any],
     seed: int,
     extra: Optional[Dict[str, Any]] = None,
+    graph_hash: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Write only the manifest of an index; returns it.
 
@@ -112,7 +123,7 @@ def save_manifest(
     directory.mkdir(parents=True, exist_ok=True)
     manifest: Dict[str, Any] = {
         "version": INDEX_FORMAT_VERSION,
-        "graph_hash": graph_fingerprint(graph),
+        "graph_hash": graph_hash or graph_fingerprint(graph),
         "graph_name": graph.name,
         "n": graph.n,
         "m": graph.m,
@@ -138,13 +149,14 @@ def save_index(
     sampler_state: Dict[str, Any],
     seed: int,
     extra: Optional[Dict[str, Any]] = None,
+    graph_hash: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Write an RR-sketch index; returns the manifest written.
 
     ``sampler_state`` is the stream-continuation state — either
-    ``SamplingPool.state()`` (``kind: "pool"``) or the serial sampler's
-    RNG snapshot (``kind: "serial"``) — so a loaded index can keep
-    extending the exact same deterministic RR stream.
+    ``SamplingPool.state()`` (``kind: "pool"``) or ``RRSampler.state()``
+    (``kind: "serial-kernel"``) — so a loaded index can keep extending
+    the exact same deterministic RR stream.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -163,11 +175,21 @@ def save_index(
         sampler_state=sampler_state,
         seed=seed,
         extra=extra,
+        graph_hash=graph_hash,
+    )
+
+
+def _rebuild(directory: Path, reason: str) -> GraphFormatError:
+    return GraphFormatError(
+        f"{directory}: {reason}; the index is a cache — rebuild the index"
     )
 
 
 def load_index(
-    directory: PathLike, graph: DiGraph, mmap: bool = True
+    directory: PathLike,
+    graph: DiGraph,
+    mmap: bool = True,
+    graph_hash: Optional[str] = None,
 ) -> LoadedIndex:
     """Load and validate an index previously written by :func:`save_index`.
 
@@ -184,10 +206,19 @@ def load_index(
     except ValueError as exc:
         raise GraphFormatError(f"{manifest_path}: invalid JSON: {exc}")
     if manifest.get("version") != INDEX_FORMAT_VERSION:
-        raise GraphFormatError(
-            f"{directory}: unsupported index version {manifest.get('version')}"
+        raise _rebuild(
+            directory,
+            f"index format version {manifest.get('version')} is not the "
+            f"supported {INDEX_FORMAT_VERSION}",
         )
-    fingerprint = graph_fingerprint(graph)
+    state = manifest.get("sampler_state") or {}
+    if state.get("kind") == "serial" or (
+        state.get("kind") == "pool" and not state.get("kernel")
+    ):
+        raise _rebuild(
+            directory, "its RR stream was drawn by a removed legacy sampler"
+        )
+    fingerprint = graph_hash or graph_fingerprint(graph)
     if manifest.get("graph_hash") != fingerprint:
         raise ParameterError(
             f"index at {directory} was built on graph "

@@ -258,7 +258,6 @@ def compare_stopping(
                 delta=delta,
                 bound=bound,
                 seed=seed,
-                fast=True,
                 stopping=rule,
             )
             per_rule[rule] = int(result.num_rr_sets)

@@ -141,7 +141,6 @@ def run_cold_opimc(ctx: TrialContext) -> TrialResult:
         epsilon=ctx.epsilon,
         delta=ctx.delta,
         seed=ctx.seed,
-        fast=True,
         stopping=ctx.stopping,
     )
     group = ClaimGroup(

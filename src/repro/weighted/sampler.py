@@ -15,15 +15,13 @@ over by swapping ``n`` for ``W``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.digraph import DiGraph
 from repro.sampling.alias import AliasTable
 from repro.sampling.collection import RRCollection
-from repro.sampling.generator import RRSampler
+from repro.sampling.kernel import RRSampler
 from repro.utils.rng import SeedLike
 
 
@@ -69,10 +67,9 @@ class WeightedRRSampler(RRSampler):
         self.universe_weight = total
         self._root_table = AliasTable(weights)
 
-    def sample_one(self, root: Optional[int] = None) -> np.ndarray:
-        if root is None:
-            root = int(self._root_table.sample(seed=self.rng))
-        return super().sample_one(root=root)
+    def _draw_roots(self, size: int) -> np.ndarray:
+        """Roots of one batch: one vectorized draw from ``w / W``."""
+        return self._root_table.sample(size=size, seed=self.rng)
 
     def estimate_weighted_spread(
         self, collection: RRCollection, seeds

@@ -1,4 +1,5 @@
-"""Tests for the batched (vectorized) RR-set samplers."""
+"""Tests for batched RR-set sampling: the vectorized kernel's per-model
+functions and the batch-drawing :class:`RRSampler`."""
 
 from __future__ import annotations
 
@@ -11,13 +12,23 @@ from repro.exceptions import ParameterError
 from repro.graph.build import from_edge_list
 from repro.graph.generators import cycle_graph
 from repro.graph.weights import assign_constant_weights
-from repro.sampling.batch import (
-    BatchRRSampler,
-    sample_rr_sets_ic_batch,
-    sample_rr_sets_lt_batch,
+from repro.sampling.kernel import (
+    SAMPLE_ONE_BATCH,
+    RRSampler,
+    sample_rr_sets_ic_kernel,
+    sample_rr_sets_lt_kernel,
 )
-from repro.sampling.generator import RRSampler
 from repro.sampling.rrset_lt import LTAliasTables
+
+
+def sample_rr_sets_ic_batch(graph, roots, rng):
+    sets, edges, _ = sample_rr_sets_ic_kernel(graph, roots, rng)
+    return sets, edges
+
+
+def sample_rr_sets_lt_batch(graph, roots, rng, tables):
+    sets, edges, _ = sample_rr_sets_lt_kernel(graph, roots, rng, tables)
+    return sets, edges
 
 
 class TestBatchICPrimitives:
@@ -80,46 +91,48 @@ class TestBatchLTPrimitives:
         assert np.mean(lengths == 2) == pytest.approx(0.3, abs=0.03)
 
     def test_distribution_matches_scalar(self, small_graph):
-        scalar = RRSampler(small_graph, "LT", seed=5)
-        c_scalar = scalar.new_collection(8000)
+        """One 8000-root kernel call and a sampler drawing capped
+        batches (independent streams) estimate the same spread."""
+        sampler = RRSampler(small_graph, "LT", seed=5)
+        c_sampler = sampler.new_collection(8000)
         rng = np.random.default_rng(6)
         tables = LTAliasTables(small_graph)
         roots = rng.integers(0, small_graph.n, size=8000)
         sets, _ = sample_rr_sets_lt_batch(small_graph, roots, rng, tables)
-        c_batch = scalar.new_collection()
+        c_batch = sampler.new_collection()
         for nodes in sets:
             c_batch.append(nodes)
-        v = int(np.argmax(c_scalar.node_coverage_counts()))
+        v = int(np.argmax(c_sampler.node_coverage_counts()))
         assert c_batch.estimate_spread([v]) == pytest.approx(
-            c_scalar.estimate_spread([v]), rel=0.12
+            c_sampler.estimate_spread([v]), rel=0.12
         )
 
 
 class TestBatchSamplerFacade:
     def test_fill_counts(self, small_graph):
-        sampler = BatchRRSampler(small_graph, "IC", seed=1, batch_size=64)
+        sampler = RRSampler(small_graph, "IC", seed=1)
         collection = sampler.new_collection(300)
         assert len(collection) == 300
         assert sampler.sets_generated == 300
         assert sampler.edges_examined > 0
 
     def test_sample_one_uses_buffer(self, small_graph):
-        sampler = BatchRRSampler(small_graph, "IC", seed=2, batch_size=16)
+        sampler = RRSampler(small_graph, "IC", seed=2)
         first = sampler.sample_one()
         assert first.size >= 1
-        assert len(sampler._buffer) == 15
+        assert sampler.buffered == SAMPLE_ONE_BATCH - 1
 
     def test_explicit_root(self, small_graph):
-        sampler = BatchRRSampler(small_graph, "LT", seed=3)
+        sampler = RRSampler(small_graph, "LT", seed=3)
         nodes = sampler.sample_one(root=7)
         assert nodes[0] == 7
 
     def test_invalid_params(self, small_graph):
         with pytest.raises(ParameterError):
-            BatchRRSampler(small_graph, "XYZ")
+            RRSampler(small_graph, "XYZ")
         with pytest.raises(ParameterError):
-            BatchRRSampler(small_graph, "IC", batch_size=0)
-        sampler = BatchRRSampler(small_graph, "IC", seed=4)
+            RRSampler(small_graph, "IC", kernel="fortran")
+        sampler = RRSampler(small_graph, "IC", seed=4)
         with pytest.raises(ParameterError):
             sampler.sample_one(root=10**6)
         with pytest.raises(ParameterError):
@@ -127,18 +140,25 @@ class TestBatchSamplerFacade:
 
     def test_unweighted_rejected(self):
         with pytest.raises(ParameterError):
-            BatchRRSampler(from_edge_list([(0, 1)]), "IC")
+            RRSampler(from_edge_list([(0, 1)]), "IC")
 
     def test_injectable_into_opim(self, small_graph):
-        sampler = BatchRRSampler(small_graph, "IC", seed=5, batch_size=128)
+        sampler = RRSampler(small_graph, "IC", seed=5)
         algo = OnlineOPIM(small_graph, "IC", k=3, delta=0.1, sampler=sampler)
         algo.extend(2000)
         snap = algo.query()
         assert snap.alpha > 0.2
 
     def test_matches_scalar_sampler_statistics(self, small_graph):
-        scalar = RRSampler(small_graph, "IC", seed=7).new_collection(6000)
-        batch = BatchRRSampler(small_graph, "IC", seed=7).new_collection(6000)
+        """Sets drawn one at a time (``sample_one`` with explicit
+        uniform roots, one kernel call each) and in capped batches
+        estimate the same spread."""
+        rng = np.random.default_rng(8)
+        single = RRSampler(small_graph, "IC", seed=7)
+        scalar = single.new_collection()
+        for root in rng.integers(0, small_graph.n, size=6000):
+            scalar.append(single.sample_one(root=int(root)))
+        batch = RRSampler(small_graph, "IC", seed=7).new_collection(6000)
         v = int(np.argmax(scalar.node_coverage_counts()))
         assert batch.estimate_spread([v]) == pytest.approx(
             scalar.estimate_spread([v]), rel=0.12

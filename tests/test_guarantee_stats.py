@@ -56,7 +56,6 @@ def _success_frequency(graph, opt: float, trials: int, seed0: int) -> float:
             epsilon=EPSILON,
             delta=DELTA,
             seed=seed0 + trial,
-            fast=True,
         )
         achieved = exact_spread_ic(graph, result.seeds)
         if achieved >= threshold - 1e-9:

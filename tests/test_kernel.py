@@ -13,10 +13,9 @@ tests here are bitwise, not statistical: for the same generator state,
 * identical post-call generator states (they consumed the exact same
   randomness),
 
-across the IC, LT, and triggering models, through the
-:class:`KernelRRSampler` facade, and through pool chunking.  The numba
-kernel joins the same oracle when numba is installed (it is optional
-and absent in CI, where those tests skip).
+across the IC, LT, and triggering models, through
+:class:`RRSampler` (including fills that span several capped batches
+and weighted roots), and through pool chunking.
 
 Also here: the hop estimator's closed-form guarantees-free spread
 (:mod:`repro.sampling.hop`), checked against exact values on graphs
@@ -31,12 +30,15 @@ import pytest
 from repro.exceptions import ParameterError, StateError
 from repro.graph.generators import power_law_graph
 from repro.graph.weights import assign_constant_weights, assign_wc_weights
-from repro.sampling.collection import RRCollection
+from repro.obs import MetricsRegistry
+from repro.sampling import kernel as kernel_module
 from repro.sampling.hop import HopEstimator
 from repro.sampling.kernel import (
-    HAVE_NUMBA,
+    AUTO_KERNEL,
     KERNELS,
-    KernelRRSampler,
+    SAMPLE_ONE_BATCH,
+    RRSampler,
+    batch_cap,
     resolve_kernel,
     sample_rr_sets_ic_kernel,
     sample_rr_sets_kernel,
@@ -48,9 +50,7 @@ from repro.sampling.rrset_triggering import (
     fixed_size_triggering_sets,
     ic_triggering_sets,
 )
-
-#: Kernels that must all be bitwise-interchangeable on this machine.
-AVAILABLE = tuple(k for k in KERNELS if k != "numba" or HAVE_NUMBA)
+from repro.weighted.sampler import WeightedRRSampler
 
 
 def _identical(a, b):
@@ -65,36 +65,31 @@ def oracle_graph():
 
 
 class TestResolveKernel:
-    def test_auto_without_env_is_legacy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel() is None
-        assert resolve_kernel("auto") is None
-
-    def test_auto_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
+    def test_auto_is_vectorized(self, oracle_graph, monkeypatch):
+        # No environment variable selects a sampler any more.
+        monkeypatch.setenv("REPRO_KERNEL", "python")
         assert resolve_kernel() == "vectorized"
-        # Explicit None pins legacy even when the env var is set —
-        # that is how pre-kernel manifests restore under $REPRO_KERNEL.
-        assert resolve_kernel(None) is None
+        assert resolve_kernel(AUTO_KERNEL) == "vectorized"
+        assert RRSampler(oracle_graph, "IC", seed=0).kernel == "vectorized"
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert resolve_kernel("vectorized") == "vectorized"
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
+        assert resolve_kernel("python") == "python"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ParameterError, match="kernel"):
             resolve_kernel("fortran")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
     def test_numba_without_numba_rejected(self):
-        with pytest.raises(ParameterError, match="numba"):
+        # The numba variant is gone: "numba" is an unknown kernel.
+        with pytest.raises(ParameterError, match="kernel"):
             resolve_kernel("numba")
 
 
 class TestEquivalenceOracle:
-    """python vs vectorized (vs numba where present): bitwise identity."""
+    """python vs vectorized: bitwise identity."""
 
-    @pytest.mark.parametrize("fast", [k for k in AVAILABLE if k != "python"])
+    @pytest.mark.parametrize("fast", [k for k in KERNELS if k != "python"])
     def test_ic_bitwise_identical(self, oracle_graph, fast):
         roots = np.random.default_rng(5).integers(0, oracle_graph.n, 120)
         rng_a = np.random.default_rng(77)
@@ -112,7 +107,7 @@ class TestEquivalenceOracle:
         # call, which is what makes kernels swappable mid-stream.
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    @pytest.mark.parametrize("fast", [k for k in AVAILABLE if k != "python"])
+    @pytest.mark.parametrize("fast", [k for k in KERNELS if k != "python"])
     def test_lt_bitwise_identical(self, oracle_graph, fast):
         tables = LTAliasTables(oracle_graph)
         roots = np.random.default_rng(6).integers(0, oracle_graph.n, 120)
@@ -132,7 +127,7 @@ class TestEquivalenceOracle:
     @pytest.mark.parametrize(
         "factory", [ic_triggering_sets, lambda g: fixed_size_triggering_sets(g, 2)]
     )
-    @pytest.mark.parametrize("fast", [k for k in AVAILABLE if k != "python"])
+    @pytest.mark.parametrize("fast", [k for k in KERNELS if k != "python"])
     def test_triggering_bitwise_identical(self, oracle_graph, fast, factory):
         triggering = factory(oracle_graph)
         roots = np.random.default_rng(8).integers(0, oracle_graph.n, 60)
@@ -177,10 +172,10 @@ class TestEquivalenceOracle:
 
 class TestKernelRRSampler:
     @pytest.mark.parametrize("model", ["IC", "LT"])
-    @pytest.mark.parametrize("fast", [k for k in AVAILABLE if k != "python"])
+    @pytest.mark.parametrize("fast", [k for k in KERNELS if k != "python"])
     def test_fill_streams_bitwise_identical(self, oracle_graph, model, fast):
-        a = KernelRRSampler(oracle_graph, model, seed=11, kernel="python")
-        b = KernelRRSampler(oracle_graph, model, seed=11, kernel=fast)
+        a = RRSampler(oracle_graph, model, seed=11, kernel="python")
+        b = RRSampler(oracle_graph, model, seed=11, kernel=fast)
         ca, cb = a.new_collection(), b.new_collection()
         for quota in (40, 7, 153):
             a.fill(ca, quota)
@@ -195,11 +190,11 @@ class TestKernelRRSampler:
 
     def test_triggering_model_through_facade(self, oracle_graph):
         triggering = ic_triggering_sets(oracle_graph)
-        a = KernelRRSampler(
+        a = RRSampler(
             oracle_graph, "TRIGGERING", seed=4, kernel="python",
             triggering_sets=triggering,
         )
-        b = KernelRRSampler(
+        b = RRSampler(
             oracle_graph, "TRIGGERING", seed=4, kernel="vectorized",
             triggering_sets=triggering,
         )
@@ -210,27 +205,23 @@ class TestKernelRRSampler:
         assert a.edges_examined == b.edges_examined
 
     def test_explicit_root(self, oracle_graph):
-        sampler = KernelRRSampler(oracle_graph, "IC", seed=1)
+        sampler = RRSampler(oracle_graph, "IC", seed=1)
         rr = sampler.sample_one(root=17)
         assert rr[0] == 17
         with pytest.raises(ParameterError, match="out of range"):
             sampler.sample_one(root=oracle_graph.n)
 
     def test_state_roundtrip_continues_stream(self, oracle_graph):
-        reference = KernelRRSampler(
-            oracle_graph, "IC", seed=9, kernel="vectorized"
-        )
+        reference = RRSampler(oracle_graph, "IC", seed=9)
         coll = reference.new_collection()
         reference.fill(coll, 64)
         reference.fill(coll, 64)
 
-        first = KernelRRSampler(oracle_graph, "IC", seed=9, kernel="vectorized")
+        first = RRSampler(oracle_graph, "IC", seed=9)
         c1 = first.new_collection()
         first.fill(c1, 64)
         state = first.state()
-        second = KernelRRSampler(
-            oracle_graph, "IC", seed=123, kernel="vectorized"
-        )
+        second = RRSampler(oracle_graph, "IC", seed=123)
         second.restore_state(state)
         c2 = second.new_collection()
         second.fill(c2, 64)
@@ -241,24 +232,90 @@ class TestKernelRRSampler:
         assert second.edges_examined == reference.edges_examined
 
     def test_state_refuses_buffered_sets(self, oracle_graph):
-        sampler = KernelRRSampler(
-            oracle_graph, "IC", seed=2, batch_size=8
-        )
-        sampler.sample_one()  # leaves 7 buffered
+        sampler = RRSampler(oracle_graph, "IC", seed=2)
+        sampler.sample_one()  # leaves the rest of its batch buffered
+        assert sampler.buffered == SAMPLE_ONE_BATCH - 1
         with pytest.raises(StateError, match="buffered"):
             sampler.state()
 
     def test_restore_refuses_kernel_mismatch(self, oracle_graph):
-        first = KernelRRSampler(oracle_graph, "IC", seed=9, kernel="vectorized")
+        first = RRSampler(oracle_graph, "IC", seed=9, kernel="vectorized")
         state = first.state()
-        other = KernelRRSampler(oracle_graph, "IC", seed=9, kernel="python")
+        other = RRSampler(oracle_graph, "IC", seed=9, kernel="python")
         with pytest.raises(ParameterError, match="deterministic"):
             other.restore_state(state)
 
     def test_requires_weighted_graph(self):
         bare = power_law_graph(40, 3, seed=1)
         with pytest.raises(ParameterError, match="weighting"):
-            KernelRRSampler(bare, "IC", seed=0)
+            RRSampler(bare, "IC", seed=0)
+
+
+class TestBatchCap:
+    """RNG-contract item 1: fills draw batches of at most
+    ``max(1, 2 MiB // n)`` sets, a pure function of ``(n, count)``."""
+
+    def test_cap_is_a_byte_budget(self):
+        assert batch_cap(8000) == 262
+        assert batch_cap(300) == 2 * 1024 * 1024 // 300
+        assert batch_cap(10**8) == 1
+
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_fill_issues_ceil_count_over_cap_batches(self, oracle_graph, extra):
+        registry = MetricsRegistry()
+        sampler = RRSampler(oracle_graph, "IC", seed=3, registry=registry)
+        cap = sampler.batch_cap
+        count = 2 * cap + extra
+        collection = sampler.new_collection(count)
+        assert len(collection) == count
+        assert registry.counter_values()["kernel.batches"] == -(-count // cap)
+
+    @pytest.mark.parametrize("model", ["IC", "LT", "TRIGGERING"])
+    def test_multi_batch_fill_bitwise_identical(
+        self, oracle_graph, model, monkeypatch
+    ):
+        monkeypatch.setattr(kernel_module, "BATCH_BYTES", 32 * oracle_graph.n)
+        triggering = (
+            fixed_size_triggering_sets(oracle_graph, 2)
+            if model == "TRIGGERING" else None
+        )
+        samplers = [
+            RRSampler(
+                oracle_graph, model, seed=21, kernel=kernel,
+                triggering_sets=triggering,
+            )
+            for kernel in ("python", "vectorized")
+        ]
+        collections = []
+        for sampler in samplers:
+            assert sampler.batch_cap == 32
+            collection = sampler.new_collection()
+            for quota in (70, 5, 33):  # batches of 32, 32, 6, 5, 32, 1
+                sampler.fill(collection, quota)
+            collections.append(collection.sets())
+        a, b = samplers
+        assert _identical(*collections)
+        assert a.edges_examined == b.edges_examined
+        assert a.levels_advanced == b.levels_advanced
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    def test_multi_batch_weighted_roots_bitwise_identical(
+        self, oracle_graph, monkeypatch
+    ):
+        monkeypatch.setattr(kernel_module, "BATCH_BYTES", 25 * oracle_graph.n)
+        weights = np.random.default_rng(4).random(oracle_graph.n)
+        weights[:100] = 0.0  # these nodes can never be roots
+        samplers = [
+            WeightedRRSampler(oracle_graph, "LT", weights, seed=5)
+            for _ in range(2)
+        ]
+        samplers[0].kernel = "python"
+        collections = [s.new_collection(90) for s in samplers]
+        a, b = samplers
+        assert _identical(collections[0].sets(), collections[1].sets())
+        assert all(rr[0] >= 100 for rr in collections[0].sets())
+        assert a.edges_examined == b.edges_examined
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 class TestHopEstimator:

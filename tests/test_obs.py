@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import os
+import statistics
 import threading
 import time
 
@@ -24,7 +25,6 @@ from repro.obs import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
-    RRSetStats,
     TraceRecorder,
     configure_logging,
     default_buckets,
@@ -180,14 +180,6 @@ class TestNullRegistry:
         reg = NullRegistry()
         assert reg.trace("a") is reg.trace("b")
 
-    def test_rrset_stats_against_registry(self):
-        reg = MetricsRegistry()
-        hook = RRSetStats(reg)
-        hook.observe_set(5, 12)
-        hook.observe_set(3, 4)
-        assert reg.stats("sampling.rr_nodes").count == 2
-        assert reg.stats("sampling.rr_edges").total == pytest.approx(16.0)
-
 
 class TestRecorder:
     def test_record_and_filter(self):
@@ -299,11 +291,10 @@ class TestEndToEndInstrumentation:
             epsilon=0.4,
             delta=0.1,
             seed=11,
-            fast=True,
             registry=reg,
         )
-        # The batched sampler counts what it generates, which can exceed
-        # what the run consumed (a partial batch stays buffered).
+        # Every doubling iteration samples afresh, so the counter covers
+        # at least the RR sets of the final iteration.
         assert reg.counter_values()["sampling.rr_sets"] >= result.num_rr_sets
 
     def test_online_opim_snapshot_metadata(self, medium_graph):
@@ -619,13 +610,17 @@ class TestConcurrencyHammer:
 )
 def test_noop_instrumentation_overhead_guard(medium_graph):
     """The instrumented sampler on the no-op registry must stay within
-    ~10% of a hand-inlined uninstrumented sampling loop."""
+    ~10% of a hand-inlined uninstrumented kernel loop.
+
+    The two sides run interleaved (alternating which goes first) and
+    their medians are compared, so a burst of machine noise lands on
+    both sides instead of deciding a single best-of ratio."""
     from repro.sampling.collection import RRCollection
     from repro.sampling.generator import RRSampler
-    from repro.sampling.rrset_ic import Scratch, sample_rr_set_ic
+    from repro.sampling.kernel import batch_cap, sample_rr_sets_kernel
     from repro.utils.rng import as_generator
 
-    count, repeats = 400, 5
+    count, repeats = 2000, 9
 
     def instrumented(rep):
         sampler = RRSampler(medium_graph, "IC", seed=rep, registry=None)
@@ -634,27 +629,33 @@ def test_noop_instrumentation_overhead_guard(medium_graph):
     def uninstrumented(rep):
         # What fill() does minus all observability hooks.
         rng = as_generator(rep)
-        scratch = Scratch(medium_graph.n)
         collection = RRCollection(medium_graph.n)
         n = medium_graph.n
-        for _ in range(count):
-            root = int(rng.integers(0, n))
-            nodes, _ = sample_rr_set_ic(medium_graph, root, rng, scratch)
-            collection.append(nodes)
+        remaining = count
+        while remaining:
+            size = min(remaining, batch_cap(n))
+            roots = rng.integers(0, n, size=size)
+            sets, _, _ = sample_rr_sets_kernel(medium_graph, "IC", roots, rng)
+            collection.extend(sets)
+            remaining -= size
 
-    def best_of(fn):
-        best = float("inf")
-        for rep in range(repeats):
-            fn(rep)  # warm-up pass primes caches and allocations
-            t0 = time.perf_counter()
-            fn(rep)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def timed(fn, rep):
+        fn(rep)  # warm-up pass primes caches and allocations
+        t0 = time.perf_counter()
+        fn(rep)
+        return time.perf_counter() - t0
 
-    baseline = best_of(uninstrumented)
-    nooped = best_of(instrumented)
+    plain, nooped = [], []
+    for rep in range(repeats):
+        if rep % 2:
+            nooped.append(timed(instrumented, rep))
+            plain.append(timed(uninstrumented, rep))
+        else:
+            plain.append(timed(uninstrumented, rep))
+            nooped.append(timed(instrumented, rep))
+    baseline = statistics.median(plain)
     # 10% relative tolerance with a small absolute floor for timer noise.
-    assert nooped <= baseline * 1.10 + 0.005
+    assert statistics.median(nooped) <= baseline * 1.10 + 0.005
 
 
 @pytest.mark.skipif(

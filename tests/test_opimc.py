@@ -144,14 +144,14 @@ class TestOPIMCEfficiency:
             )
         assert info.value.num_rr_sets <= 10
 
-    def test_fast_mode_matches_quality(self, medium_graph):
-        """fast=True (batched sampler) returns seeds of equivalent
-        quality and meets the same target."""
+    def test_pool_mode_matches_quality(self, medium_graph):
+        """Sampling through a two-worker pool (a different RR stream)
+        returns seeds of equivalent quality and meets the same target."""
         from repro.diffusion.spread import monte_carlo_spread
 
         slow = opim_c(medium_graph, "IC", k=5, epsilon=0.3, delta=0.05, seed=77)
         fast = opim_c(
-            medium_graph, "IC", k=5, epsilon=0.3, delta=0.05, seed=77, fast=True
+            medium_graph, "IC", k=5, epsilon=0.3, delta=0.05, seed=77, workers=2
         )
         s1 = monte_carlo_spread(
             medium_graph, slow.seeds, "IC", num_samples=500, seed=78

@@ -1,5 +1,5 @@
-"""Tests for RR-set sampling: alias tables, IC/LT samplers, collections,
-and the streaming RRSampler facade."""
+"""Tests for RR-set sampling: alias tables, IC/LT kernels on single
+roots, collections, and the streaming RRSampler."""
 
 from __future__ import annotations
 
@@ -15,9 +15,24 @@ from repro.graph.generators import complete_graph, cycle_graph
 from repro.graph.weights import assign_constant_weights
 from repro.sampling.alias import AliasTable, build_alias_arrays
 from repro.sampling.collection import RRCollection
-from repro.sampling.generator import RRSampler
-from repro.sampling.rrset_ic import Scratch, sample_rr_set_ic
-from repro.sampling.rrset_lt import LTAliasTables, sample_rr_set_lt
+from repro.sampling.kernel import (
+    RRSampler,
+    sample_rr_sets_ic_kernel,
+    sample_rr_sets_lt_kernel,
+)
+from repro.sampling.rrset_lt import LTAliasTables
+
+
+def sample_rr_set_ic(graph, root, rng):
+    sets, edges, _ = sample_rr_sets_ic_kernel(graph, np.array([root]), rng)
+    return sets[0], edges
+
+
+def sample_rr_set_lt(graph, root, rng, tables):
+    sets, edges, _ = sample_rr_sets_lt_kernel(
+        graph, np.array([root]), rng, tables
+    )
+    return sets[0], edges
 
 
 class TestAliasTable:
@@ -99,10 +114,14 @@ class TestICSampler:
             assert len(nodes) == len(set(nodes.tolist()))
 
     def test_scratch_reuse_isolated_between_samples(self, cliques_graph, rng):
-        scratch = Scratch(cliques_graph.n)
-        first, _ = sample_rr_set_ic(cliques_graph, 0, rng, scratch)
-        second, _ = sample_rr_set_ic(cliques_graph, 5, rng, scratch)
-        assert second[0] == 5
+        """Sets sharing one batch keep separate visited rows: the same
+        root twice may reach the same nodes in both sets."""
+        sets, _, _ = sample_rr_sets_ic_kernel(
+            cliques_graph, np.array([0, 5, 0]), rng
+        )
+        assert [s[0] for s in sets] == [0, 5, 0]
+        for nodes in sets:
+            assert len(nodes) == len(set(nodes.tolist()))
 
     def test_edges_examined_counts_inspected_edges(self, rng):
         g = assign_constant_weights(complete_graph(5), 0.0)
@@ -146,7 +165,11 @@ class TestLTSampler:
     def test_in_neighbor_choice_proportional(self, rng):
         g = from_edge_list([(0, 2, 0.75), (1, 2, 0.25)])
         tables = LTAliasTables(g)
-        picks = [tables.sample_in_neighbor(2, rng) for _ in range(4000)]
+        sets, _, _ = sample_rr_sets_lt_kernel(
+            g, np.full(4000, 2), rng, tables
+        )
+        # In-weights sum to 1, so every walk takes one step from node 2.
+        picks = [int(nodes[1]) for nodes in sets]
         assert np.mean([p == 0 for p in picks]) == pytest.approx(0.75, abs=0.03)
 
     def test_invalid_lt_graph_rejected(self):

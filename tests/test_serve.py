@@ -81,7 +81,7 @@ class TestIndex:
             "IC",
             engine.r1,
             engine.r2,
-            sampler_state=engine._sampler_state(),
+            sampler_state=engine.sampler.state(),
             seed=42,
         )
         assert manifest["theta1"] == 300
@@ -135,6 +135,91 @@ class TestIndex:
         with SeedQueryEngine(medium_graph, "IC", seed=42) as eng:
             with pytest.raises(ParameterError, match="deterministic"):
                 eng.load_index(tmp_path)
+
+    def test_v1_manifest_asks_for_rebuild(self, medium_graph, tmp_path):
+        """An index written before the format bump is a stale cache."""
+        manifest = {
+            "version": 1,
+            "graph_hash": graph_fingerprint(medium_graph),
+            "graph_name": medium_graph.name,
+            "n": medium_graph.n,
+            "m": medium_graph.m,
+            "model": "IC",
+            "seed": 42,
+            "theta1": 0,
+            "theta2": 0,
+            "sampler_state": {
+                "kind": "serial",
+                "rng_state": {},
+                "sets_generated": 0,
+                "edges_examined": 0,
+                "nodes_touched": 0,
+            },
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(GraphFormatError, match="rebuild the index"):
+            load_index(tmp_path, medium_graph)
+        with pytest.raises(GraphFormatError, match="rebuild the index"):
+            SeedQueryEngine(medium_graph, "IC", seed=42, index_dir=tmp_path)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_legacy_sampler_state_asks_for_rebuild(
+        self, medium_graph, tmp_path, workers
+    ):
+        """A current-version manifest whose stream came from a removed
+        sampler (a ``"serial"`` state, or a pool state without a
+        kernel) is refused rather than continued on another stream."""
+        with SeedQueryEngine(
+            medium_graph, "IC", seed=42, workers=workers
+        ) as eng:
+            eng.extend(100)
+            eng.save_index(tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        state = manifest["sampler_state"]
+        if workers == 1:
+            state["kind"] = "serial"
+            del state["kernel"]
+        else:
+            del state["kernel"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(GraphFormatError, match="rebuild the index"):
+            load_index(tmp_path, medium_graph)
+
+    def test_engine_hashes_the_graph_once(
+        self, medium_graph, tmp_path, monkeypatch
+    ):
+        """Checkpoints and warm starts reuse the engine's fingerprint:
+        one SHA-256 pass over the graph per engine."""
+        import repro.serve.engine as engine_module
+        import repro.serve.index as index_module
+
+        calls = []
+        original = index_module.graph_fingerprint
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(index_module, "graph_fingerprint", counting)
+        monkeypatch.setattr(engine_module, "graph_fingerprint", counting)
+        with SeedQueryEngine(
+            medium_graph, "IC", seed=42, step=200, index_dir=tmp_path
+        ) as eng:
+            for target in (0.1, 0.15, 0.2):
+                eng.answer(3, alpha_target=target)
+                eng.checkpoint()  # full save, then manifest-only saves
+            eng.answer(3, alpha_target=0.2)
+            eng.checkpoint()
+            eng.save_index()
+        assert len(calls) == 1
+        with SeedQueryEngine(
+            medium_graph, "IC", seed=42, index_dir=tmp_path
+        ) as warm:
+            assert warm.loaded_from_index
+            warm.answer(3, alpha_target=0.2)
+            warm.checkpoint()
+        assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------
@@ -306,13 +391,13 @@ class TestEngine:
 class TestKernelEngine:
     def test_kernel_engines_match_python_kernel_bitwise(self, medium_graph):
         """The serve path is kernel-agnostic: an engine on the
-        vectorized kernel answers bitwise-identically to one on the
-        python reference kernel (same frozen RNG contract)."""
+        vectorized kernel answers bitwise-identically to one whose
+        sampler runs the python reference kernel (same frozen RNG
+        contract)."""
         answers = []
         for kernel in ("python", "vectorized"):
-            with SeedQueryEngine(
-                medium_graph, "IC", seed=7, step=400, kernel=kernel
-            ) as eng:
+            with SeedQueryEngine(medium_graph, "IC", seed=7, step=400) as eng:
+                eng.sampler.kernel = kernel
                 answers.append(eng.answer(4, alpha_target=0.2))
         for key in ("seeds", "alpha", "num_rr_sets", "sigma_low"):
             assert answers[0][key] == answers[1][key], key
@@ -320,25 +405,21 @@ class TestKernelEngine:
     def test_warm_start_continues_the_kernel_stream(
         self, medium_graph, tmp_path
     ):
-        """Warm-index restart with ``kernel="vectorized"``: the manifest
-        records the serial-kernel sampler state and the reloaded engine
-        continues the stream bitwise-identically to an uninterrupted
-        engine issuing the same extend/answer sequence."""
-        with SeedQueryEngine(
-            medium_graph, "IC", seed=7, step=400, kernel="vectorized"
-        ) as ref:
+        """Warm-index restart: the manifest records the serial-kernel
+        sampler state and the reloaded engine continues the stream
+        bitwise-identically to an uninterrupted engine issuing the same
+        extend/answer sequence."""
+        with SeedQueryEngine(medium_graph, "IC", seed=7, step=400) as ref:
             ref.answer(4, alpha_target=0.2)
             ref.extend(400)
             expected = ref.answer(6, alpha_target=0.25)
         with SeedQueryEngine(
-            medium_graph, "IC", seed=7, step=400, kernel="vectorized",
-            index_dir=tmp_path,
+            medium_graph, "IC", seed=7, step=400, index_dir=tmp_path,
         ) as eng:
             eng.answer(4, alpha_target=0.2)
             eng.save_index()
         with SeedQueryEngine(
-            medium_graph, "IC", seed=7, step=400, kernel="vectorized",
-            index_dir=tmp_path,
+            medium_graph, "IC", seed=7, step=400, index_dir=tmp_path,
         ) as eng:
             assert eng.loaded_from_index
             warm = eng.answer(4, alpha_target=0.2)
@@ -349,25 +430,8 @@ class TestKernelEngine:
         assert resumed["alpha"] == expected["alpha"]
         assert resumed["num_rr_sets"] == expected["num_rr_sets"]
 
-    def test_kernel_index_refused_by_legacy_engine(
-        self, medium_graph, tmp_path
-    ):
-        """A serial-kernel index must not restore into a legacy serial
-        engine (or vice versa) — the streams differ, so silently
-        accepting it would fork the deterministic replay."""
-        with SeedQueryEngine(
-            medium_graph, "IC", seed=42, kernel="vectorized"
-        ) as eng:
-            eng.extend(100)
-            eng.save_index(tmp_path)
-        with SeedQueryEngine(medium_graph, "IC", seed=42, kernel=None) as eng:
-            with pytest.raises(ParameterError, match="deterministic"):
-                eng.load_index(tmp_path)
-
     def test_pool_engine_records_kernel_in_stats(self, medium_graph):
-        with SeedQueryEngine(
-            medium_graph, "IC", seed=1, workers=2, kernel="vectorized"
-        ) as eng:
+        with SeedQueryEngine(medium_graph, "IC", seed=1, workers=2) as eng:
             eng.answer(3, alpha_target=0.2)
             assert eng.stats()["kernel"] == "vectorized"
 

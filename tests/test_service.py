@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ParameterError, ServiceError
 from repro.obs import MetricsRegistry
 from repro.sampling.collection import RRCollection
+from repro.sampling.kernel import RRSampler
 from repro.sampling.service import (
     SamplingPool,
     chunk_schedule,
@@ -114,11 +115,11 @@ class TestDeterminism:
             pool.fill(parallel, 70)
         assert _identical(_sets(reference), _sets(parallel))
 
-    def test_scalar_path_identical_across_worker_counts(self, small_graph):
+    def test_lt_identical_across_worker_counts(self, small_graph):
         outputs = []
         for workers in (1, 2):
             with SamplingPool(
-                small_graph, "LT", workers=workers, seed=9, fast=False
+                small_graph, "LT", workers=workers, seed=9
             ) as pool:
                 outputs.append(_sets(pool.new_collection(80)))
         assert _identical(outputs[0], outputs[1])
@@ -132,7 +133,7 @@ class TestDeterminism:
         serial = []
         for index, chunk in chunk_schedule(count):
             flat, offsets, _, _ = generate_chunk(
-                small_graph, "IC", True, chunk_seed(seed, index), chunk
+                small_graph, "IC", chunk_seed(seed, index), chunk
             )
             serial.extend(
                 flat[offsets[i] : offsets[i + 1]]
@@ -186,23 +187,20 @@ class TestDeterminism:
 
 
 class TestVectorizedKernelDeterminism:
-    """The vectorized kernel must be a drop-in under every determinism
-    contract the pool already guarantees: identical across worker
-    counts, identical under injected crashes, warm-handoff via
-    ``from_state``, and — because the kernel obeys the frozen RNG
-    contract — bitwise identical to the python reference kernel."""
+    """Every pool chunk runs the vectorized kernel, which obeys the
+    frozen RNG contract: chunks are bitwise identical to the python
+    reference kernel, and the pool's determinism contracts (worker
+    counts, injected crashes, ``from_state`` handoff) hold on it."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_bitwise_identical_across_worker_counts(
         self, small_graph, workers
     ):
-        with SamplingPool(
-            small_graph, "IC", workers=1, seed=42, kernel="vectorized"
-        ) as pool:
+        with SamplingPool(small_graph, "IC", workers=1, seed=42) as pool:
             reference = pool.new_collection(150)
             pool.fill(reference, 70)
         with SamplingPool(
-            small_graph, "IC", workers=workers, seed=42, kernel="vectorized"
+            small_graph, "IC", workers=workers, seed=42
         ) as pool:
             parallel = pool.new_collection(150)
             pool.fill(parallel, 70)
@@ -210,39 +208,23 @@ class TestVectorizedKernelDeterminism:
 
     @pytest.mark.parametrize("model", ["IC", "LT"])
     def test_kernel_chunks_match_python_kernel(self, small_graph, model):
-        """Per-chunk bitwise oracle through ``generate_chunk``: the
-        vectorized kernel consumes the generator identically to the
-        python reference, so every chunk matches."""
+        """Per-chunk bitwise oracle: ``generate_chunk`` equals one fill
+        of a python-kernel sampler seeded with the chunk seed."""
         for index, chunk in chunk_schedule(120):
             seed = chunk_seed(17, index)
-            outputs = []
-            for kernel in ("python", "vectorized"):
-                flat, offsets, edges, _ = generate_chunk(
-                    small_graph, model, True, seed, chunk, kernel=kernel
-                )
-                outputs.append((flat, offsets, edges))
-            assert np.array_equal(outputs[0][0], outputs[1][0])
-            assert np.array_equal(outputs[0][1], outputs[1][1])
-            assert outputs[0][2] == outputs[1][2]
-
-    def test_env_var_selects_kernel_for_pool(self, small_graph, monkeypatch):
-        """``REPRO_KERNEL=vectorized`` (the CI tier-1 rerun) routes the
-        default pool through the kernel and stays bitwise identical to
-        an explicit ``kernel="vectorized"`` pool."""
-        with SamplingPool(
-            small_graph, "IC", workers=1, seed=8, kernel="vectorized"
-        ) as pool:
-            explicit = _sets(pool.new_collection(90))
-        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
-        with SamplingPool(small_graph, "IC", workers=2, seed=8) as pool:
-            assert pool.kernel == "vectorized"
-            via_env = _sets(pool.new_collection(90))
-        assert _identical(explicit, via_env)
+            flat, offsets, edges, _ = generate_chunk(
+                small_graph, model, seed, chunk
+            )
+            oracle = RRSampler(small_graph, model, seed=seed, kernel="python")
+            expected = oracle.new_collection(chunk).sets()
+            assert _identical(
+                [flat[offsets[i] : offsets[i + 1]] for i in range(chunk)],
+                expected,
+            )
+            assert edges == oracle.edges_examined
 
     def test_output_identical_under_injected_crashes(self, small_graph):
-        with SamplingPool(
-            small_graph, "IC", workers=1, seed=42, kernel="vectorized"
-        ) as pool:
+        with SamplingPool(small_graph, "IC", workers=1, seed=42) as pool:
             reference = _sets(pool.new_collection(200))
         registry = MetricsRegistry()
         with SamplingPool(
@@ -250,7 +232,6 @@ class TestVectorizedKernelDeterminism:
             "IC",
             workers=2,
             seed=42,
-            kernel="vectorized",
             registry=registry,
             inject_crash_chunks={0, 4},
         ) as pool:
@@ -260,13 +241,10 @@ class TestVectorizedKernelDeterminism:
         assert registry.counter_values()["service.worker_restarts"] == 2
 
     def test_from_state_hands_off_a_kernel_stream(self, small_graph):
-        """Warm handoff of a vectorized pool: the state records the
-        kernel, ``from_state`` re-pins it, and the continuation is
-        bitwise identical to an uninterrupted run with the same fill
-        sequence."""
-        with SamplingPool(
-            small_graph, "IC", workers=2, seed=42, kernel="vectorized"
-        ) as pool:
+        """Warm handoff: the state records the kernel, and the
+        continuation is bitwise identical to an uninterrupted run with
+        the same fill sequence."""
+        with SamplingPool(small_graph, "IC", workers=2, seed=42) as pool:
             reference = pool.new_collection()
             pool.fill(reference, 100)
             state = pool.state()
@@ -276,51 +254,10 @@ class TestVectorizedKernelDeterminism:
             small_graph, "IC", state, workers=4
         ) as resumed:
             assert resumed.kernel == "vectorized"
-            with SamplingPool(
-                small_graph, "IC", workers=2, seed=42, kernel="vectorized"
-            ) as p0:
+            with SamplingPool(small_graph, "IC", workers=2, seed=42) as p0:
                 continued = p0.new_collection()
                 p0.fill(continued, 100)
             resumed.fill(continued, 120)
-        assert _identical(_sets(reference), _sets(continued))
-
-    def test_restore_state_rejects_kernel_mismatch(self, small_graph):
-        with SamplingPool(
-            small_graph, "IC", workers=1, seed=3, kernel="vectorized"
-        ) as pool:
-            state = pool.state()
-        with SamplingPool(
-            small_graph, "IC", workers=1, seed=3, kernel=None
-        ) as legacy:
-            with pytest.raises(ParameterError, match="deterministic"):
-                legacy.restore_state(state)
-
-    def test_pre_kernel_state_restores_to_legacy_pool(self, small_graph):
-        """A manifest written before the kernel existed has no
-        ``kernel`` key; ``from_state`` must pin the legacy samplers
-        regardless of ``REPRO_KERNEL`` so the resumed stream matches."""
-        with SamplingPool(
-            small_graph, "IC", workers=1, seed=6, kernel=None
-        ) as pool:
-            reference = pool.new_collection()
-            pool.fill(reference, 60)
-            state = pool.state()
-            pool.fill(reference, 50)
-        state.pop("kernel")
-        os.environ["REPRO_KERNEL"] = "vectorized"
-        try:
-            with SamplingPool.from_state(
-                small_graph, "IC", state, workers=2
-            ) as resumed:
-                assert resumed.kernel is None
-                with SamplingPool(
-                    small_graph, "IC", workers=1, seed=6, kernel=None
-                ) as p0:
-                    continued = p0.new_collection()
-                    p0.fill(continued, 60)
-                resumed.fill(continued, 50)
-        finally:
-            del os.environ["REPRO_KERNEL"]
         assert _identical(_sets(reference), _sets(continued))
 
 

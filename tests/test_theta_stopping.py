@@ -159,7 +159,6 @@ class TestOPIMCStoppingIntegration:
                 epsilon=0.3,
                 delta=0.25,
                 seed=seed,
-                fast=True,
                 stopping=rule,
             )
             counts[rule] = result.num_rr_sets
@@ -179,7 +178,6 @@ class TestOPIMCStoppingIntegration:
                 epsilon=0.3,
                 delta=0.25,
                 seed=42,
-                fast=True,
                 stopping="sadeh",
             )
             t_max = theta_max(graph.n, 2, 0.3, 0.25)
@@ -197,7 +195,6 @@ class TestOPIMCStoppingIntegration:
             epsilon=0.05,
             delta=0.25,
             seed=7,
-            fast=True,
             bound="vanilla",
             stopping="sadeh",
         )

@@ -82,14 +82,13 @@ class TestReverseGraph:
         forward cascade from v on reverse(G): check the expected sizes
         agree."""
         from repro.diffusion.spread import monte_carlo_spread
-        from repro.sampling.rrset_ic import sample_rr_set_ic
+        from repro.sampling.kernel import sample_rr_sets_ic_kernel
 
         g = assign_wc_weights(power_law_graph(150, 5, seed=3))
         rev = reverse_graph(g)
         root = int(np.argmax(g.in_degree()))
         rng = np.random.default_rng(4)
-        rr_mean = np.mean(
-            [sample_rr_set_ic(g, root, rng)[0].size for _ in range(4000)]
-        )
+        sets, _, _ = sample_rr_sets_ic_kernel(g, np.full(4000, root), rng)
+        rr_mean = np.mean([rr.size for rr in sets])
         forward = monte_carlo_spread(rev, [root], "IC", num_samples=4000, seed=5)
         assert rr_mean == pytest.approx(forward.mean, rel=0.08)

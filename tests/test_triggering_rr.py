@@ -12,14 +12,25 @@ from repro.exceptions import ParameterError
 from repro.graph.build import from_edge_list
 from repro.graph.generators import complete_graph, cycle_graph
 from repro.graph.weights import assign_constant_weights, assign_wc_weights
-from repro.sampling.generator import RRSampler
+from repro.sampling.kernel import RRSampler, sample_rr_sets_triggering_kernel
 from repro.sampling.rrset_triggering import (
-    TriggeringRRSampler,
     fixed_size_triggering_sets,
     ic_triggering_sets,
     lt_triggering_sets,
-    sample_rr_set_triggering,
 )
+
+
+def triggering_sampler(graph, triggering_sets, seed=None):
+    return RRSampler(
+        graph, "TRIGGERING", seed=seed, triggering_sets=triggering_sets
+    )
+
+
+def sample_rr_set_triggering(graph, root, rng, triggering_sets):
+    sets, edges, _ = sample_rr_sets_triggering_kernel(
+        graph, np.array([root]), rng, triggering_sets
+    )
+    return sets[0], edges
 
 
 class TestTriggeringSetSamplers:
@@ -105,9 +116,9 @@ class TestTriggeringRRSets:
         assert edges == 3  # root's in-degree, nothing triggered
 
     def test_ic_equivalence_in_distribution(self, tiny_weighted_graph):
-        """Triggering-based IC RR sets give the same spread estimates
-        as the dedicated reverse-BFS sampler (both unbiased, Lemma 3.1)."""
-        generic = TriggeringRRSampler(
+        """Triggering-based IC RR sets give unbiased spread estimates
+        (Lemma 3.1), checked against the exact spread."""
+        generic = triggering_sampler(
             tiny_weighted_graph, ic_triggering_sets(tiny_weighted_graph), seed=5
         )
         collection = generic.new_collection(20000)
@@ -115,9 +126,9 @@ class TestTriggeringRRSets:
         assert collection.estimate_spread([0]) == pytest.approx(exact, rel=0.05)
 
     def test_lt_equivalence_in_distribution(self, small_graph):
-        """Triggering-based LT RR sets match the dedicated random-walk
-        sampler's spread estimates."""
-        generic = TriggeringRRSampler(
+        """Triggering-based LT RR sets match the dedicated LT random-walk
+        kernel's spread estimates."""
+        generic = triggering_sampler(
             small_graph, lt_triggering_sets(small_graph), seed=6
         )
         dedicated = RRSampler(small_graph, "LT", seed=7)
@@ -131,7 +142,7 @@ class TestTriggeringRRSets:
 
 class TestTriggeringSamplerFacade:
     def test_counters(self, small_graph):
-        sampler = TriggeringRRSampler(
+        sampler = triggering_sampler(
             small_graph, ic_triggering_sets(small_graph), seed=1
         )
         sampler.new_collection(50)
@@ -139,14 +150,14 @@ class TestTriggeringSamplerFacade:
         assert sampler.edges_examined > 0
 
     def test_bad_root(self, small_graph):
-        sampler = TriggeringRRSampler(
+        sampler = triggering_sampler(
             small_graph, ic_triggering_sets(small_graph), seed=1
         )
         with pytest.raises(ParameterError):
             sampler.sample_one(root=10**6)
 
     def test_negative_count(self, small_graph):
-        sampler = TriggeringRRSampler(
+        sampler = triggering_sampler(
             small_graph, ic_triggering_sets(small_graph), seed=1
         )
         with pytest.raises(ParameterError):
@@ -155,7 +166,7 @@ class TestTriggeringSamplerFacade:
     def test_mismatched_collection(self, small_graph, tiny_weighted_graph):
         from repro.sampling.collection import RRCollection
 
-        sampler = TriggeringRRSampler(
+        sampler = triggering_sampler(
             small_graph, ic_triggering_sets(small_graph), seed=1
         )
         with pytest.raises(ParameterError):
@@ -164,7 +175,7 @@ class TestTriggeringSamplerFacade:
 
 class TestOPIMInjection:
     def test_opim_with_generic_ic_sampler(self, small_graph):
-        sampler = TriggeringRRSampler(
+        sampler = triggering_sampler(
             small_graph, ic_triggering_sets(small_graph), seed=9
         )
         algo = OnlineOPIM(small_graph, "IC", k=3, delta=0.1, sampler=sampler)
@@ -174,7 +185,7 @@ class TestOPIMInjection:
     def test_opim_with_non_standard_triggering(self, small_graph):
         """OPIM's guarantees are triggering-model generic (Section 6):
         a non-IC/LT instance runs through the same machinery."""
-        sampler = TriggeringRRSampler(
+        sampler = triggering_sampler(
             small_graph, fixed_size_triggering_sets(small_graph, 1), seed=10
         )
         algo = OnlineOPIM(small_graph, "IC", k=3, delta=0.1, sampler=sampler)
@@ -184,7 +195,7 @@ class TestOPIMInjection:
         assert len(snap.seeds) == 3
 
     def test_sampler_graph_mismatch_rejected(self, small_graph, medium_graph):
-        sampler = TriggeringRRSampler(
+        sampler = triggering_sampler(
             medium_graph, ic_triggering_sets(medium_graph), seed=11
         )
         with pytest.raises(ParameterError):

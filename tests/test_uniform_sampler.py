@@ -1,4 +1,5 @@
-"""Tests for the binomial-shortcut IC sampler (per-node-uniform p)."""
+"""IC sampling on per-node-uniform probabilities (WC and constant
+weights), checked against exact spreads and the cost model."""
 
 from __future__ import annotations
 
@@ -7,97 +8,60 @@ import pytest
 
 from repro.diffusion.spread import exact_spread_ic
 from repro.exceptions import ParameterError
-from repro.graph.build import from_edge_list
 from repro.graph.generators import complete_graph, star_graph
 from repro.graph.weights import assign_constant_weights
-from repro.sampling.rrset_ic_uniform import (
-    UniformICSampler,
-    sample_rr_set_ic_uniform,
-    uniform_in_probabilities,
-)
+from repro.sampling.kernel import RRSampler, sample_rr_sets_ic_kernel
 
 
-class TestEligibility:
-    def test_wc_weights_are_uniform(self, medium_graph):
-        probs = uniform_in_probabilities(medium_graph)
-        assert probs is not None
-        in_deg = medium_graph.in_degree()
-        nonzero = in_deg > 0
-        assert np.allclose(probs[nonzero], 1.0 / in_deg[nonzero])
-
-    def test_constant_weights_are_uniform(self):
-        g = assign_constant_weights(complete_graph(5), 0.2)
-        probs = uniform_in_probabilities(g)
-        assert np.allclose(probs, 0.2)
-
-    def test_mixed_weights_rejected(self):
-        g = from_edge_list([(0, 2, 0.3), (1, 2, 0.6)])
-        assert uniform_in_probabilities(g) is None
-
-    def test_unweighted_rejected(self):
-        assert uniform_in_probabilities(from_edge_list([(0, 1)])) is None
-
-    def test_isolated_nodes_ok(self):
-        g = from_edge_list([(0, 1, 0.4)], n=4)
-        probs = uniform_in_probabilities(g)
-        assert probs is not None
-        assert probs[3] == 0.0
+def sample_rr_set_ic_uniform(graph, root, rng):
+    sets, edges, _ = sample_rr_sets_ic_kernel(graph, np.array([root]), rng)
+    return sets[0], edges
 
 
 class TestDistribution:
-    def test_matches_exact_spread(self, tiny_weighted_graph):
-        """On the 5-node fixture only node pairs share probabilities,
-        so build a uniform-eligible variant and compare to exact."""
+    def test_matches_exact_spread(self):
         g = assign_constant_weights(star_graph(6), 0.35)
-        sampler = UniformICSampler(g, seed=1)
+        sampler = RRSampler(g, "IC", seed=1)
         collection = sampler.new_collection(30000)
         exact = exact_spread_ic(g, [0])
         assert collection.estimate_spread([0]) == pytest.approx(exact, rel=0.05)
 
     def test_matches_generic_sampler_on_wc(self, medium_graph):
-        from repro.sampling.generator import RRSampler
-
+        """Two independent streams on WC weights agree on the spread of
+        the most-covered node."""
         generic = RRSampler(medium_graph, "IC", seed=2).new_collection(6000)
-        uniform = UniformICSampler(medium_graph, seed=3).new_collection(6000)
+        uniform = RRSampler(medium_graph, "IC", seed=3).new_collection(6000)
         v = int(np.argmax(generic.node_coverage_counts()))
         assert uniform.estimate_spread([v]) == pytest.approx(
             generic.estimate_spread([v]), rel=0.12
         )
 
     def test_no_duplicates(self, medium_graph):
-        probs = uniform_in_probabilities(medium_graph)
         rng = np.random.default_rng(4)
         for root in range(0, 50, 7):
-            nodes, _ = sample_rr_set_ic_uniform(medium_graph, root, rng, probs)
+            nodes, _ = sample_rr_set_ic_uniform(medium_graph, root, rng)
             assert len(nodes) == len(set(nodes.tolist()))
             assert nodes[0] == root
 
     def test_p_one_reaches_all_ancestors(self, line_graph):
-        probs = uniform_in_probabilities(line_graph)
         rng = np.random.default_rng(5)
-        nodes, edges = sample_rr_set_ic_uniform(line_graph, 3, rng, probs)
+        nodes, edges = sample_rr_set_ic_uniform(line_graph, 3, rng)
         assert sorted(nodes.tolist()) == [0, 1, 2, 3]
         assert edges == 3
 
     def test_p_zero_stays_at_root(self):
         g = assign_constant_weights(complete_graph(4), 0.0)
-        probs = uniform_in_probabilities(g)
         rng = np.random.default_rng(6)
-        nodes, edges = sample_rr_set_ic_uniform(g, 1, rng, probs)
+        nodes, edges = sample_rr_set_ic_uniform(g, 1, rng)
         assert nodes.tolist() == [1]
         assert edges == 3  # cost model still charges the in-degree
 
 
 class TestSamplerFacade:
-    def test_non_uniform_graph_rejected(self):
-        g = from_edge_list([(0, 2, 0.3), (1, 2, 0.6)])
-        with pytest.raises(ParameterError, match="uniform"):
-            UniformICSampler(g)
-
     def test_counters_and_injection(self, medium_graph):
         from repro.core.opim import OnlineOPIM
 
-        sampler = UniformICSampler(medium_graph, seed=7)
+        sampler = RRSampler(medium_graph, "IC", seed=7)
         algo = OnlineOPIM(medium_graph, "IC", k=3, delta=0.1, sampler=sampler)
         algo.extend(2000)
         snap = algo.query()
@@ -106,6 +70,6 @@ class TestSamplerFacade:
         assert sampler.edges_examined > 0
 
     def test_invalid_root(self, medium_graph):
-        sampler = UniformICSampler(medium_graph, seed=8)
+        sampler = RRSampler(medium_graph, "IC", seed=8)
         with pytest.raises(ParameterError):
             sampler.sample_one(root=-1)
