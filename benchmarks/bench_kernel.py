@@ -13,17 +13,28 @@ the python reference (the ISSUE acceptance gate), and persists the
 measurement to ``benchmarks/results/BENCH_kernel.json`` where
 ``BENCH_baseline.json`` gates ``kernel.rr_sets_per_second`` and
 ``kernel.speedup_vs_python`` against regressions.
+
+It also times the LT alias tables every LT sampler builds before its
+first set: the segmented build (:class:`LTAliasTables`) against the
+per-node ``build_alias_arrays`` loop it replaced, the median of
+:data:`TABLE_REPEATS` builds each.  ``BENCH_baseline.json`` gates
+``lt.tables_speedup_vs_reference``, which falls to about 1 if the
+tables go back to a per-node loop.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.datasets.registry import load_dataset
+from repro.sampling.alias import build_alias_arrays
 from repro.sampling.kernel import RRSampler
+from repro.sampling.rrset_lt import LTAliasTables
 from repro.utils.timer import Timer
 
 from conftest import run_once
@@ -33,6 +44,8 @@ from conftest import run_once
 COUNT = 4000
 SEED = 2018
 MIN_SPEEDUP_VS_PYTHON = 5.0
+#: Timed builds of each kind of LT alias tables.
+TABLE_REPEATS = 9
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +61,28 @@ def _kernel_rate(graph, model, kernel):
     return COUNT / timer.elapsed
 
 
+def _per_node_tables(graph):
+    """The reference: one ``build_alias_arrays`` call per node."""
+    offsets, probs = graph.in_offsets, graph.in_probs
+    accept = np.ones(graph.m, dtype=np.float64)
+    alias = np.zeros(graph.m, dtype=np.int64)
+    for u in range(graph.n):
+        lo, hi = int(offsets[u]), int(offsets[u + 1])
+        if hi > lo and probs[lo:hi].sum() > 0.0:
+            accept[lo:hi], alias[lo:hi] = build_alias_arrays(probs[lo:hi])
+    return accept, alias
+
+
+def _median_seconds(build, graph):
+    times = []
+    for _ in range(TABLE_REPEATS):
+        timer = Timer()
+        with timer:
+            build(graph)
+        times.append(timer.elapsed)
+    return statistics.median(times)
+
+
 def bench_vectorized_kernel_throughput(benchmark, graph):
     def run():
         rates = {}
@@ -56,9 +91,13 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
                 "python": _kernel_rate(graph, model, "python"),
                 "vectorized": _kernel_rate(graph, model, "vectorized"),
             }
-        return rates
+        tables = {
+            "segmented": _median_seconds(LTAliasTables, graph),
+            "reference": _median_seconds(_per_node_tables, graph),
+        }
+        return rates, tables
 
-    rates = run_once(benchmark, run)
+    rates, tables = run_once(benchmark, run)
     ic, lt = rates["IC"], rates["LT"]
     summary = {
         "dataset": graph.name,
@@ -72,6 +111,11 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
         "lt": {
             "python_kernel_rr_sets_per_second": round(lt["python"], 1),
             "vectorized_rr_sets_per_second": round(lt["vectorized"], 1),
+            "tables_build_seconds": round(tables["segmented"], 5),
+            "tables_reference_seconds": round(tables["reference"], 5),
+            "tables_speedup_vs_reference": round(
+                tables["reference"] / tables["segmented"], 2
+            ),
         },
         # The gated headline numbers (BENCH_baseline.json).
         "kernel": {

@@ -542,7 +542,9 @@ class RRSampler:
         Optional :class:`~repro.obs.MetricsRegistry`.  When given, the
         sampler maintains the ``sampling.rr_sets`` / ``sampling.edges``
         / ``sampling.nodes`` and ``kernel.batches`` / ``kernel.levels``
-        counters; by default the no-op registry is used.
+        counters, and times the LT alias-table build in a
+        ``sampling/tables`` span and the ``sampling.table_seconds``
+        histogram; by default the no-op registry is used.
 
     The stream is a pure function of ``(seed, sequence of fill /
     sample_one calls)``.  ``sample_one`` leaves the rest of its batch
@@ -591,7 +593,12 @@ class RRSampler:
         self.obs = resolve_registry(registry)
         self._lt_tables: Optional[LTAliasTables] = None
         if model == "LT":
-            self._lt_tables = LTAliasTables(graph)
+            with self.obs.trace("sampling/tables"):
+                started = time.perf_counter()
+                self._lt_tables = LTAliasTables(graph)
+                self.obs.histogram("sampling.table_seconds").observe(
+                    time.perf_counter() - started
+                )
         self._buffer: List[np.ndarray] = []
 
     @property

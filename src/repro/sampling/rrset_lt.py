@@ -10,7 +10,12 @@ closes a cycle).  The walks themselves run in
 :func:`repro.sampling.kernel.sample_rr_sets_lt_kernel`.
 
 Per-node alias tables (:class:`LTAliasTables`) make each step O(1), as
-in the paper's Appendix A, after an O(n + m) preprocessing pass.
+in the paper's Appendix A, after an O(n + m) preprocessing pass.  That
+pass is :func:`repro.sampling.alias.build_alias_segments`: one
+vectorized build over every node's in-edge segment, bitwise equal to
+building each node's table with
+:func:`~repro.sampling.alias.build_alias_arrays`, so the RR streams do
+not depend on which of the two built the tables.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.sampling.alias import build_alias_arrays
+from repro.sampling.alias import build_alias_segments
 
 
 class LTAliasTables:
@@ -36,23 +41,10 @@ class LTAliasTables:
 
     def __init__(self, graph: DiGraph) -> None:
         graph.validate_lt()
-        m = graph.m
-        self.accept = np.ones(m, dtype=np.float64)
-        self.alias = np.zeros(m, dtype=np.int64)
+        self.accept, self.alias, totals = build_alias_segments(
+            graph.in_probs, graph.in_offsets
+        )
         self.continue_prob = np.minimum(graph.in_prob_sums(), 1.0)
-
-        offsets = graph.in_offsets
-        probs = graph.in_probs
-        for u in range(graph.n):
-            lo, hi = int(offsets[u]), int(offsets[u + 1])
-            if hi - lo == 0:
-                continue
-            local = probs[lo:hi]
-            if local.sum() <= 0.0:
-                # All-zero in-probabilities: the walk never continues
-                # past u, so the table content is irrelevant.
-                self.continue_prob[u] = 0.0
-                continue
-            accept, alias = build_alias_arrays(local)
-            self.accept[lo:hi] = accept
-            self.alias[lo:hi] = alias
+        # All-zero in-probabilities: the walk never continues past the
+        # node, and its table (accept 1, alias 0) is never read.
+        self.continue_prob[totals <= 0.0] = 0.0

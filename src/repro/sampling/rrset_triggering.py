@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graph.digraph import DiGraph
-from repro.sampling.alias import build_alias_arrays
+from repro.sampling.rrset_lt import LTAliasTables
 
 #: ``f(node, rng) -> array of sampled in-neighbors`` (the node's T(v)).
 TriggeringSetSampler = Callable[[int, np.random.Generator], np.ndarray]
@@ -59,18 +59,9 @@ def ic_triggering_sets(graph: DiGraph) -> TriggeringSetSampler:
 
 def lt_triggering_sets(graph: DiGraph) -> TriggeringSetSampler:
     """LT as a triggering model: at most one in-neighbor, alias-sampled."""
-    graph.validate_lt()
-    offsets, sources, probs = graph.in_offsets, graph.in_sources, graph.in_probs
-    continue_prob = np.minimum(graph.in_prob_sums(), 1.0)
-
-    accept = np.ones(graph.m, dtype=np.float64)
-    alias = np.zeros(graph.m, dtype=np.int64)
-    for u in range(graph.n):
-        lo, hi = int(offsets[u]), int(offsets[u + 1])
-        if hi - lo and probs[lo:hi].sum() > 0.0:
-            a, al = build_alias_arrays(probs[lo:hi])
-            accept[lo:hi] = a
-            alias[lo:hi] = al
+    tables = LTAliasTables(graph)
+    offsets, sources = graph.in_offsets, graph.in_sources
+    accept, alias, continue_prob = tables.accept, tables.alias, tables.continue_prob
 
     def sample(node: int, rng: np.random.Generator) -> np.ndarray:
         cp = continue_prob[node]

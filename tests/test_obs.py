@@ -33,6 +33,7 @@ from repro.obs import (
     resolve_registry,
     throughput_summary,
 )
+from repro.sampling.kernel import RRSampler
 
 
 class TestCounters:
@@ -316,6 +317,20 @@ class TestEndToEndInstrumentation:
         phases = {e["phase"] for e in recorder.spans()}
         assert "opim/extend" in phases
         assert "opim/query/greedy" in phases or "opim/query" in phases
+
+    def test_lt_table_build_is_timed(self, medium_graph):
+        """The LT alias-table build has its own span and histogram, so a
+        trace and /metrics show it; IC builds no tables."""
+        recorder = TraceRecorder()
+        reg = MetricsRegistry(sink=recorder)
+        with reg.trace("engine"):
+            RRSampler(medium_graph, "LT", seed=1, registry=reg)
+        RRSampler(medium_graph, "IC", seed=1, registry=reg)
+        phases = [e["phase"] for e in recorder.spans()]
+        assert phases.count("engine/sampling/tables") == 1
+        hist = reg.histogram("sampling.table_seconds")
+        assert hist.count == 1 and hist.sum > 0.0
+        assert "sampling_table_seconds_count 1" in prometheus_text(reg)
 
     def test_default_run_uses_null_registry(self, medium_graph):
         algo = OnlineOPIM(medium_graph, "IC", k=4, seed=13)

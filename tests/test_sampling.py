@@ -3,17 +3,28 @@ roots, collections, and the streaming RRSampler."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.registry import load_dataset
 from repro.diffusion.spread import exact_spread_ic
 from repro.exceptions import ParameterError
 from repro.graph.build import from_edge_list
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import complete_graph, cycle_graph
 from repro.graph.weights import assign_constant_weights
-from repro.sampling.alias import AliasTable, build_alias_arrays
+from repro.sampling import alias as alias_module
+from repro.sampling.alias import (
+    AliasTable,
+    build_alias_arrays,
+    build_alias_segments,
+)
 from repro.sampling.collection import RRCollection
 from repro.sampling.kernel import (
     RRSampler,
@@ -21,6 +32,7 @@ from repro.sampling.kernel import (
     sample_rr_sets_lt_kernel,
 )
 from repro.sampling.rrset_lt import LTAliasTables
+from repro.sampling.rrset_triggering import lt_triggering_sets
 
 
 def sample_rr_set_ic(graph, root, rng):
@@ -89,6 +101,226 @@ class TestAliasTable:
         table = AliasTable([0.0, 1.0])
         draws = table.sample(2000, seed=3)
         assert np.all(draws == 1)
+
+
+def per_segment_tables(weights, offsets):
+    """The per-node reference: one ``build_alias_arrays`` per segment
+    with a positive sum; other segments keep accept 1 and alias 0."""
+    accept = np.ones(weights.size, dtype=np.float64)
+    alias = np.zeros(weights.size, dtype=np.int64)
+    totals = np.zeros(offsets.size - 1, dtype=np.float64)
+    for u in range(offsets.size - 1):
+        lo, hi = int(offsets[u]), int(offsets[u + 1])
+        if hi == lo:
+            continue
+        totals[u] = weights[lo:hi].sum()
+        if totals[u] > 0.0:
+            accept[lo:hi], alias[lo:hi] = build_alias_arrays(weights[lo:hi])
+    return accept, alias, totals
+
+
+def layout(degrees):
+    return np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+
+
+def random_lt_graph(n, degrees, seed):
+    """A graph whose node ``v`` has ``degrees[v]`` in-edges with random
+    non-uniform LT weights (in-sums 0.9)."""
+    rng = np.random.default_rng(seed)
+    targets = np.repeat(np.arange(n), degrees)
+    sources = np.concatenate(
+        [rng.choice(np.delete(np.arange(n), v), d, replace=False)
+         for v, d in enumerate(degrees)]
+    )
+    weights = rng.random(targets.size) ** 2 + 1e-3
+    sums = np.bincount(targets, weights=weights, minlength=n)
+    return DiGraph(n, sources, targets, 0.9 * weights / sums[targets])
+
+
+class ScriptedRng:
+    """Returns the scripted draws in order, for ``random`` and
+    ``integers`` alike."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+    def integers(self, low, high):
+        return self.draws.pop(0)
+
+
+#: Cut-overs that force the all-lockstep path, the default split and
+#: the all-scalar path.
+FINISHES = [0, alias_module.SCALAR_FINISH, 10**9]
+
+#: A hub far above the default cut-over: it outlives the lockstep phase.
+HUB_DEGREE = 20 * alias_module.SCALAR_FINISH + 3000
+
+
+class TestSegmentedAliasTables:
+    """``build_alias_segments`` against the per-node reference, bit for
+    bit: the python/vectorized kernel oracle reads one set of tables on
+    both sides, so only this comparison catches a table change."""
+
+    def assert_matches(self, weights, offsets):
+        weights = np.asarray(weights, dtype=np.float64)
+        for got, want in zip(
+            build_alias_segments(weights, offsets),
+            per_segment_tables(weights, offsets),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.fixture(params=FINISHES, ids=["lockstep", "default", "scalar"])
+    def finish(self, request, monkeypatch):
+        monkeypatch.setattr(alias_module, "SCALAR_FINISH", request.param)
+
+    def test_pokec_wc(self, finish):
+        g = load_dataset("pokec-sim", scale=0.25)
+        self.assert_matches(g.in_probs, g.in_offsets)
+
+    def test_random_weights_with_hub(self, finish):
+        rng = np.random.default_rng(5)
+        degrees = rng.integers(0, 20, size=400)
+        degrees[17] = HUB_DEGREE
+        self.assert_matches(rng.random(degrees.sum()) ** 3, layout(degrees))
+
+    def test_one_long_distribution(self, finish):
+        rng = np.random.default_rng(6)
+        self.assert_matches(rng.random(9000), layout([9000]))
+
+    def test_zero_in_degree_nodes(self, finish):
+        rng = np.random.default_rng(7)
+        degrees = np.tile([0, 3, 0, 0, 5, 1], 20)
+        self.assert_matches(rng.random(degrees.sum()), layout(degrees))
+
+    def test_all_zero_probability_nodes(self, finish):
+        rng = np.random.default_rng(8)
+        degrees = np.tile([4, 2, 6], 20)
+        weights = rng.random(degrees.sum())
+        weights[:4] = 0.0
+        weights[layout(degrees)[7] : layout(degrees)[9]] = 0.0
+        weights[rng.random(weights.size) < 0.2] = 0.0
+        accept, alias, totals = build_alias_segments(weights, layout(degrees))
+        assert totals[0] == 0.0 and totals[7] == 0.0 and totals[8] == 0.0
+        assert np.all(accept[:4] == 1.0) and np.all(alias[:4] == 0)
+        self.assert_matches(weights, layout(degrees))
+
+    def test_single_in_edge_nodes(self, finish):
+        rng = np.random.default_rng(9)
+        degrees = np.ones(100, dtype=np.int64)
+        accept, alias, _ = build_alias_segments(rng.random(100), layout(degrees))
+        assert np.all(accept == 1.0) and np.all(alias == 0)
+        self.assert_matches(rng.random(100), layout(degrees))
+
+    def test_all_equal_weights_pair_nothing(self, finish):
+        degrees = np.arange(1, 60)
+        weights = np.repeat(1.0 / degrees, degrees)
+        offsets = layout(degrees)
+        _, alias, _ = build_alias_segments(weights, offsets)
+        local = np.arange(offsets[-1]) - np.repeat(offsets[:-1], degrees)
+        assert np.array_equal(alias, local)
+        self.assert_matches(weights, offsets)
+
+    def test_columns_scaled_to_exactly_one(self, finish):
+        # [1, 2, 3] scales to [0.5, 1.0, 1.5]: a column at exactly 1.0
+        # starts on the large stack, as in the list loop.
+        degrees = np.tile([3, 4, 5], 20)
+        weights = np.concatenate([np.arange(1.0, d + 1) for d in degrees])
+        self.assert_matches(weights, layout(degrees))
+
+    def test_empty_layout(self):
+        self.assert_matches(np.zeros(0), layout([0, 0, 0]))
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(1e-6, 1.0),
+                    st.integers(1, 4).map(float),
+                ),
+                max_size=40,
+            ),
+            max_size=60,
+        ),
+        finish=st.sampled_from(FINISHES),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_layouts_property(self, rows, finish):
+        weights = np.asarray([w for row in rows for w in row], dtype=np.float64)
+        offsets = layout([len(row) for row in rows])
+        with mock.patch.object(alias_module, "SCALAR_FINISH", finish):
+            self.assert_matches(weights, offsets)
+
+    def test_lt_alias_tables_use_the_reference_tables(self):
+        g = random_lt_graph(300, np.arange(300) % 13, seed=10)
+        tables = LTAliasTables(g)
+        accept, alias, totals = per_segment_tables(g.in_probs, g.in_offsets)
+        assert np.array_equal(tables.accept, accept)
+        assert np.array_equal(tables.alias, alias)
+        expected = np.minimum(g.in_prob_sums(), 1.0)
+        expected[totals <= 0.0] = 0.0
+        assert np.array_equal(tables.continue_prob, expected)
+
+    def test_lt_triggering_sets_yield_the_same_tables(self):
+        """Script each column's coins: the draw equal to the reference
+        accept falls to the alias, the float just below keeps the column,
+        so the sampler's accept and alias match the reference exactly."""
+        g = random_lt_graph(120, np.arange(120) % 9, seed=11)
+        sample = lt_triggering_sets(g)
+        accept, alias, _ = per_segment_tables(g.in_probs, g.in_offsets)
+        sources = g.in_sources
+        for u in range(g.n):
+            lo, hi = int(g.in_offsets[u]), int(g.in_offsets[u + 1])
+            for column in range(hi - lo):
+                keep = np.nextafter(accept[lo + column], 0.0)
+                for coin, picked in (
+                    (accept[lo + column], lo + alias[lo + column]),
+                    (keep, lo + column),
+                ):
+                    got = sample(u, ScriptedRng([0.0, column, coin]))
+                    assert got.tolist() == [sources[picked]]
+
+
+def stream_digest(sampler, count=4000):
+    """sha256 of the first *count* RR sets (flat nodes, then offsets)
+    and of the generator state after them."""
+    collection = sampler.new_collection(count)
+    sets = [np.asarray(collection.get(i), dtype=np.int64) for i in range(count)]
+    offsets = np.cumsum([0] + [s.size for s in sets], dtype=np.int64)
+    digest = hashlib.sha256()
+    digest.update(np.concatenate(sets).tobytes())
+    digest.update(offsets.tobytes())
+    state = sampler.rng.bit_generator.state
+    digest.update(json.dumps(state, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedLTStreams:
+    """The LT streams of index format 2, pinned: tables built another way
+    must leave every RR set and the generator state where they were."""
+
+    @pytest.fixture(scope="class")
+    def pokec(self):
+        return load_dataset("pokec-sim", scale=0.25)
+
+    def test_lt_stream(self, pokec):
+        sampler = RRSampler(pokec, "LT", seed=2018)
+        assert stream_digest(sampler) == (
+            "860c733c6b1332f79faa0ed270fe0e56345e69291893c375aaded5d82bb1d2c8"
+        )
+
+    def test_lt_triggering_stream(self, pokec):
+        sampler = RRSampler(
+            pokec, "TRIGGERING", seed=2018,
+            triggering_sets=lt_triggering_sets(pokec),
+        )
+        assert stream_digest(sampler) == (
+            "4c91d9817bcb6473ef9717bedf676cb026d913a646e7418781affc262890fa3a"
+        )
 
 
 class TestICSampler:
