@@ -11,7 +11,12 @@ sketch warms up:
   server's LRU cache, measured end-to-end over HTTP under concurrent
   clients.
 
-This benchmark measures all three on one dataset, asserts the
+It also times a warm ascending ``k = 1..50`` sweep on the saved index
+and counts its greedy passes (``maxcover.greedy_runs``): every ``k``
+reads a prefix of one shared pass, whose width doubles on a miss, so
+the sweep runs 7 passes where per-``k`` passes would run 50.
+
+This benchmark measures all of these on one dataset, asserts the
 contract (warm samples nothing; cached p50 under 5 ms), and persists
 p50/p95 latencies to ``benchmarks/results/BENCH_serve.json`` — the
 table quoted in ``docs/serving.md``.
@@ -28,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.datasets.registry import load_dataset
+from repro.obs import MetricsRegistry
 from repro.serve import SeedQueryEngine, SeedQueryServer, ServeClient
 from repro.utils.timer import Timer
 
@@ -39,6 +45,7 @@ K = 10
 ALPHA_TARGET = 0.3
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 25
+SWEEP_KS = range(1, 51)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +84,27 @@ def _warm_query(graph, index_dir, cold_answer):
     assert answer["sampled"] == 0, "warm query must not resample"
     assert answer["seeds"] == cold_answer["seeds"], "determinism contract"
     return timer.elapsed
+
+
+def _warm_sweep(graph, index_dir):
+    """Ascending k-sweep on the loaded index: passes and seconds."""
+    registry = MetricsRegistry()
+    with SeedQueryEngine(
+        graph, "IC", seed=SEED, index_dir=index_dir, registry=registry
+    ) as engine:
+        budget = engine.num_rr_sets
+        started = time.perf_counter()
+        for k in SWEEP_KS:
+            answer = engine.answer(k, alpha_target=0.01, rr_budget=budget)
+            assert answer["sampled"] == 0, "the sweep must not sample"
+        seconds = time.perf_counter() - started
+    counters = registry.counter_values()
+    return {
+        "ks": f"{SWEEP_KS.start}..{SWEEP_KS.stop - 1}",
+        "greedy_runs": counters["maxcover.greedy_runs"],
+        "greedy_reuse": counters["maxcover.greedy_reuse"],
+        "seconds": round(seconds, 4),
+    }
 
 
 async def _cached_latencies(graph, index_dir):
@@ -118,10 +146,13 @@ def bench_serve_cold_warm_cached(benchmark, graph, tmp_path_factory):
     def run():
         cold_seconds, cold_answer = _cold_query(graph, index_dir)
         warm_seconds = _warm_query(graph, index_dir, cold_answer)
+        sweep = _warm_sweep(graph, index_dir)
         cached = asyncio.run(_cached_latencies(graph, index_dir))
-        return cold_seconds, warm_seconds, cached, cold_answer
+        return cold_seconds, warm_seconds, sweep, cached, cold_answer
 
-    cold_seconds, warm_seconds, cached, cold_answer = run_once(benchmark, run)
+    cold_seconds, warm_seconds, sweep, cached, cold_answer = run_once(
+        benchmark, run
+    )
     cached_stats = _percentiles(cached)
     summary = {
         "dataset": graph.name,
@@ -136,6 +167,7 @@ def bench_serve_cold_warm_cached(benchmark, graph, tmp_path_factory):
         "requests_per_client": REQUESTS_PER_CLIENT,
         "cold": {"p50_ms": round(1e3 * cold_seconds, 3), "samples": 1},
         "warm_index": {"p50_ms": round(1e3 * warm_seconds, 3), "samples": 1},
+        "sweep": sweep,
         "cached": cached_stats,
     }
     results_dir = Path(__file__).parent / "results"

@@ -40,7 +40,7 @@ from repro.maxcover.bounds import (
     coverage_upper_bound_greedy,
     coverage_upper_bound_leskovec,
 )
-from repro.maxcover.greedy import GreedyResult, greedy_max_coverage
+from repro.maxcover.greedy import GreedyResult, SharedGreedy, greedy_max_coverage
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
 from repro.sampling.kernel import RRSampler
@@ -149,7 +149,11 @@ class OnlineOPIM:
         self.timer = Timer()
         #: Telemetry rows (one dict per snapshot taken), in query order.
         self.alpha_trajectory: list = []
-        self._greedy_cache: Optional[Tuple[int, GreedyResult]] = None
+        #: The greedy pass over R1: private here, the engine's shared
+        #: one after :meth:`adopt_collections`.
+        self.shared_greedy = SharedGreedy(self.obs)
+        # (held pass, its k-prefix): the view is built once per pass.
+        self._greedy_view: Optional[Tuple[GreedyResult, GreedyResult]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -197,17 +201,25 @@ class OnlineOPIM:
         if missing > 0:
             self.extend(missing + (missing % 2))
 
-    def adopt_collections(self, r1: RRCollection, r2: RRCollection) -> None:
+    def adopt_collections(
+        self,
+        r1: RRCollection,
+        r2: RRCollection,
+        greedy: Optional[SharedGreedy] = None,
+    ) -> None:
         """Adopt externally owned nominator/judge collections.
 
         The serving layer (:mod:`repro.serve`) keeps **one** RR-sketch
         stream per ``(graph, model, seed)`` and shares it across many
         per-``k`` algorithm instances: RR sets are ``k``-independent
-        (Section 3.1), so only the greedy pass and the Eq. 5 / Eq. 8
-        bound evaluations are per query.  Adopting replaces this
-        instance's collections with the shared pair; subsequent
+        (Section 3.1), and so is greedy's pick order, so only the Eq. 5
+        / Eq. 8 bound evaluations are per query.  Adopting replaces
+        this instance's collections with the shared pair; subsequent
         ``extend`` calls grow the shared pair through this instance's
-        sampler.
+        sampler.  ``greedy`` is the pass holder shared by every
+        instance on that pair (a fresh private one when omitted), so a
+        query for ``k`` reads a held pass's prefix instead of running
+        its own.
 
         The collections must be distinct objects (the nominator/judge
         role split of Section 4.1 is what the guarantee rests on) and
@@ -225,23 +237,41 @@ class OnlineOPIM:
             )
         self.r1 = r1
         self.r2 = r2
-        self._greedy_cache = None
+        self.shared_greedy = (
+            greedy if greedy is not None else SharedGreedy(self.obs)
+        )
+        self._greedy_view = None
 
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
     def _run_greedy(self) -> GreedyResult:
-        """Greedy over R1, cached per collection size."""
-        if len(self.r1) == 0:
+        """Greedy over R1 at ``k`` seeds: a prefix of the held pass.
+
+        Runs a pass only when :attr:`shared_greedy` holds none for the
+        current ``theta_1`` that reaches ``k`` seeds; its width follows
+        :meth:`SharedGreedy.width`.  The prefix equals a ``k``-pass
+        field by field.  The pass and the lookups count into the
+        holder's registry (the engine's, for a serving session).
+        """
+        theta1 = len(self.r1)
+        if theta1 == 0:
             raise ParameterError(
                 "no RR sets generated yet; call extend() before query()"
             )
-        size = len(self.r1)
-        if self._greedy_cache is None or self._greedy_cache[0] != size:
+        shared = self.shared_greedy
+        held = shared.lookup(theta1, self.k)
+        if held is None:
+            width = shared.width(theta1, self.k, self.graph.n)
             with self.obs.trace("greedy"):
-                result = greedy_max_coverage(self.r1, self.k, registry=self.obs)
-            self._greedy_cache = (size, result)
-        return self._greedy_cache[1]
+                held = greedy_max_coverage(self.r1, width, registry=shared.obs)
+            shared.result = held
+        else:
+            shared.obs.count("maxcover.greedy_reuse")
+        view = self._greedy_view
+        if view is None or view[0] is not held:
+            view = self._greedy_view = (held, held.prefix(self.k))
+        return view[1]
 
     def _coverage_upper(self, greedy: GreedyResult, variant: str) -> float:
         if variant == "vanilla":
@@ -339,8 +369,5 @@ class OnlineOPIM:
             coverage_r2=coverage_r2,
             edges_examined=self.sampler.edges_examined,
             elapsed=self.timer.elapsed,
-            metadata={
-                "alpha_row": row,
-                "alpha_trajectory": list(self.alpha_trajectory),
-            },
+            metadata={"alpha_row": row},
         )

@@ -37,8 +37,10 @@ class OnlineSnapshot:
     metadata:
         Observability payload.  OPIM populates ``"alpha_row"`` (this
         snapshot's ``(theta1, theta2, sigma_low, sigma_up, alpha)``
-        telemetry row) and ``"alpha_trajectory"`` (every row recorded
-        so far on the producing algorithm instance).
+        telemetry row).  The rows of every snapshot so far live on the
+        producing instance's ``alpha_trajectory``; a snapshot does not
+        copy them, which would cost O(q) per query and O(q^2) over a
+        long-lived session.
     """
 
     seeds: List[int]

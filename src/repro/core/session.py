@@ -86,9 +86,9 @@ class OPIMSession:
         )
         self.queries_made = 0
         self.history: List[OnlineSnapshot] = []
-        # Certified OPT lower bound carried over from a checkpointed
-        # predecessor session (see :meth:`restore_schedule`).
-        self._restored_opt_lower = 0.0
+        # Running max of every query's sigma_low and of the bound
+        # carried over by restore_schedule: certified_opt_lower.
+        self._opt_lower = 0.0
         # Runtime mirror of the schedule's union bound: every query's
         # slice is recorded so the joint guarantee is auditable (and,
         # under REPRO_DELTA_STRICT, asserted) at run time.
@@ -167,7 +167,7 @@ class OPIMSession:
                 self.delta / (2.0 ** i), label=f"restored-query-{i}"
             )
         self.queries_made = int(queries_made)
-        self._restored_opt_lower = max(0.0, float(opt_lower))
+        self._opt_lower = max(0.0, float(opt_lower))
 
     def query(self, bound: Optional[str] = None) -> OnlineSnapshot:
         """Query under the simultaneous-guarantee schedule.
@@ -182,6 +182,7 @@ class OPIMSession:
         self.ledger.spend(query_delta, label=f"query-{self.queries_made + 1}")
         self.queries_made += 1
         self.history.append(snapshot)
+        self._opt_lower = max(self._opt_lower, float(snapshot.sigma_low))
         self._online.obs.record(
             "session_query",
             query=self.queries_made,
@@ -204,12 +205,10 @@ class OPIMSession:
         :func:`~repro.core.theta.theta_sadeh` so a warm sketch's
         repeat queries start from a tight sample cap; ``0.0`` until
         the first query.  Includes the bound carried over by
-        :meth:`restore_schedule`.
+        :meth:`restore_schedule`.  Kept as a running max, so reading it
+        does not scan :attr:`history`.
         """
-        best = max(
-            (float(snap.sigma_low) for snap in self.history), default=0.0
-        )
-        return max(best, self._restored_opt_lower)
+        return self._opt_lower
 
     def guarantee_claims(self) -> List[Dict[str, Any]]:
         """Every guarantee this session has reported, as checkable claims.

@@ -261,7 +261,7 @@ def table1(
     for label, variant in bound_of.items():
         timer = Timer()
         for _ in range(repeats):
-            online._greedy_cache = None  # force a fresh greedy pass
+            online.shared_greedy.clear()  # force a fresh greedy pass
             with timer:
                 online.query(bound=variant)
         rows.append(

@@ -14,16 +14,27 @@ greedy loop for free:
 
 * at the start of iteration ``i`` the marginal-coverage vector *is* the
   node-coverage vector after removing the RR sets covered by ``S_i*``;
-* the top-k sum takes ``O(n)`` via ``numpy.partition``.
+* the top-k marginals take ``O(n + k log k)`` via ``numpy.partition``
+  and a sort of the ``k`` survivors.
 
 Total cost is ``O(k * n + sum |R|)``, matching the paper's Table 1 row
 for the improved OPIM via ``sigma_hat_u``.
+
+The pass does not depend on ``k`` except through its length: ties go
+to the smallest node id, so a ``K``-seed pass picks, in order, the
+seeds of every ``k <= K`` pass.  Keeping each prefix's top-``K``
+marginals (as cumulative sums, ``(K + 1) x K`` integers) makes every
+``k``-answer a slice of the ``K``-pass: :meth:`GreedyResult.prefix`
+returns it, equal field by field to :func:`greedy_max_coverage` run at
+``k``.  :class:`SharedGreedy` holds one such pass per R1, so the
+serving layer pays for greedy once per sketch instead of once per
+``k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -53,6 +64,13 @@ class GreedyResult:
         Marginal coverage of each selected node at selection time.
     num_rr_sets:
         ``theta``: size of the collection greedy ran over.
+    topk_cumsums:
+        ``(k + 1) x k`` int64 array: row ``i`` holds the cumulative sums
+        of prefix ``i``'s ``k`` largest marginal coverages in descending
+        order, so ``topk_cumsums[i, j - 1]`` is the top-``j`` sum for
+        every ``j <= k`` and ``prefix_topk_sums`` is its last column.
+        ``None`` on a hand-built result, which then has no
+        :meth:`prefix`.
     """
 
     seeds: List[int]
@@ -61,10 +79,39 @@ class GreedyResult:
     prefix_topk_sums: List[int]
     gains: List[int] = field(default_factory=list)
     num_rr_sets: int = 0
+    topk_cumsums: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def k(self) -> int:
         return len(self.seeds)
+
+    def prefix(self, k: int) -> "GreedyResult":
+        """The result :func:`greedy_max_coverage` gives at *k* seeds.
+
+        Greedy's pick order does not depend on ``k``, so the first
+        ``k`` seeds, gains and prefix coverages of this pass are those
+        of a ``k``-pass, and the Eq. 10 sums are the ``k``-th column of
+        the first ``k + 1`` rows of :attr:`topk_cumsums`.  Every field
+        is equal to a fresh ``k``-pass's; no pass runs.
+        """
+        if self.topk_cumsums is None:
+            raise ParameterError("this greedy result keeps no top-k table")
+        if not 1 <= k <= self.k:
+            raise ParameterError(f"prefix k must be in [1, {self.k}], got {k}")
+        if k == self.k:
+            return self
+        table = self.topk_cumsums[: k + 1, :k]
+        return GreedyResult(
+            seeds=self.seeds[:k],
+            coverage=self.prefix_coverages[k],
+            prefix_coverages=self.prefix_coverages[: k + 1],
+            prefix_topk_sums=table[:, k - 1].tolist(),
+            gains=self.gains[:k],
+            num_rr_sets=self.num_rr_sets,
+            topk_cumsums=table,
+        )
 
     def coverage_fraction(self) -> float:
         """Fraction of RR sets covered by the seed set."""
@@ -73,12 +120,62 @@ class GreedyResult:
         return self.coverage / self.num_rr_sets
 
 
-def _top_k_sum(values: np.ndarray, k: int) -> int:
-    """Sum of the k largest entries of *values* in O(n)."""
-    if k >= values.shape[0]:
-        return int(values.sum())
-    part = np.partition(values, values.shape[0] - k)
-    return int(part[values.shape[0] - k :].sum())
+def _top_k_cumsum(values: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Cumulative sums of the k largest entries of *values*, in
+    descending order, into *out* — O(n + k log k)."""
+    n = values.shape[0]
+    top = values if k >= n else np.partition(values, n - k)[n - k :]
+    np.cumsum(np.sort(top)[::-1], out=out)
+
+
+class SharedGreedy:
+    """The greedy pass held for one R1, shared by every ``k <= K``.
+
+    Holds one :class:`GreedyResult` — ``(theta_1, K, result)`` as
+    ``result.num_rr_sets``, ``result.k`` and the result itself.  A
+    query for ``k <= K`` on the same ``theta_1`` reads its answer as
+    ``result.prefix(k)``; :meth:`width` says how many seeds the pass
+    that replaces it should select.  The caller runs the pass and
+    stores it in :attr:`result`; R1 must only grow between passes
+    (the held ``theta_1`` is its length), and :meth:`clear` drops the
+    result when R1 is replaced.
+
+    ``registry`` is the owner's :class:`~repro.obs.MetricsRegistry`:
+    passes report their ``maxcover.*`` counters there, and lookups
+    count ``maxcover.greedy_reuse``.
+    """
+
+    __slots__ = ("result", "obs")
+
+    def __init__(self, registry: object = None) -> None:
+        self.result: Optional[GreedyResult] = None
+        self.obs = resolve_registry(registry)
+
+    def lookup(self, theta1: int, k: int) -> Optional[GreedyResult]:
+        """The held pass if it answers *k* seeds at *theta1*, else None."""
+        held = self.result
+        if held is not None and held.num_rr_sets == theta1 and k <= held.k:
+            return held
+        return None
+
+    def width(self, theta1: int, k: int, n: int) -> int:
+        """Seeds the next pass selects, for a miss at ``(theta1, k)``.
+
+        A first pass selects ``k``.  A pass on a grown R1 keeps the held
+        width, so every ``k`` answered so far stays a lookup.  A ``k``
+        above the held width at the same ``theta1`` at least doubles it
+        (capped at ``n``): an ascending ``k = 1..50`` sweep costs the 7
+        passes ``1, 2, 4, ..., 64``.
+        """
+        held = self.result
+        if held is None:
+            return k
+        if held.num_rr_sets != theta1:
+            return max(k, held.k)
+        return min(n, max(k, 2 * held.k))
+
+    def clear(self) -> None:
+        self.result = None
 
 
 def greedy_max_coverage(
@@ -123,11 +220,12 @@ def greedy_max_coverage(
     seeds: List[int] = []
     gains: List[int] = []
     prefix_coverages: List[int] = [0]
-    prefix_topk_sums: List[int] = [_top_k_sum(cov, k)]
+    topk_cumsums = np.empty((k + 1, k), dtype=np.int64)
+    _top_k_cumsum(cov, k, topk_cumsums[0])
     total_covered = 0
     marginal_updates = 0
 
-    for _ in range(k):
+    for i in range(1, k + 1):
         u = int(np.argmax(np.where(selected, np.int64(-1), cov)))
         gain = int(cov[u])
         seeds.append(u)
@@ -157,7 +255,7 @@ def greedy_max_coverage(
                 marginal_updates += total
 
         prefix_coverages.append(total_covered)
-        prefix_topk_sums.append(_top_k_sum(cov, k))
+        _top_k_cumsum(cov, k, topk_cumsums[i])
 
     obs = resolve_registry(registry)
     obs.count("maxcover.greedy_runs")
@@ -167,7 +265,8 @@ def greedy_max_coverage(
         seeds=seeds,
         coverage=total_covered,
         prefix_coverages=prefix_coverages,
-        prefix_topk_sums=prefix_topk_sums,
+        prefix_topk_sums=topk_cumsums[:, k - 1].tolist(),
         gains=gains,
         num_rr_sets=num_rr,
+        topk_cumsums=topk_cumsums,
     )

@@ -7,13 +7,17 @@ and answer every ``(k, bound, target)`` query by *extending* that
 stream just far enough — never by restarting it.
 
 Why this is sound: RR sets are query-independent (Section 3.1), so
-the sketch is shared across every ``k``.  What is per-``k`` is the
-greedy pass and the failure-budget bookkeeping, so the engine keeps
-one :class:`~repro.core.session.OPIMSession` per ``k``, all adopting
-the same two collections (via
-:meth:`~repro.core.opim.OnlineOPIM.adopt_collections`) and the same
-sampler.  Each per-``k`` session applies the simultaneous-guarantee
-schedule (query ``i`` gets budget ``delta / 2^i``), so everything the
+the sketch is shared across every ``k``.  So is greedy's pick order
+(ties go to the smallest id): the engine holds one greedy pass over
+R1, of width ``K``, and a query for ``k <= K`` on the same R1 reads
+its answer as that pass's ``k``-prefix
+(:class:`~repro.maxcover.greedy.SharedGreedy`), equal to a ``k``-pass
+bit for bit.  What is per-``k`` is the failure-budget bookkeeping, so
+the engine keeps one :class:`~repro.core.session.OPIMSession` per
+``k``, all adopting the same two collections, greedy holder (via
+:meth:`~repro.core.opim.OnlineOPIM.adopt_collections`) and sampler.
+Each per-``k`` session applies the simultaneous-guarantee schedule
+(query ``i`` gets budget ``delta / 2^i``), so everything the
 server ever reported for a given ``k`` holds jointly w.p.
 ``>= 1 - delta``.
 
@@ -33,6 +37,7 @@ from repro.core.session import OPIMSession, SessionResult
 from repro.core.theta import theta_sadeh
 from repro.exceptions import ParameterError, StateError
 from repro.graph.digraph import DiGraph
+from repro.maxcover.greedy import SharedGreedy
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
 from repro.sampling.hop import DEFAULT_HOPS, HopEstimator
@@ -137,6 +142,8 @@ class SeedQueryEngine:
         self._hop: Optional[HopEstimator] = None
         self.r1 = RRCollection(graph.n)
         self.r2 = RRCollection(graph.n)
+        # The one greedy pass over r1 that every per-k session reads.
+        self._greedy = SharedGreedy(self.obs)
         self._sessions: Dict[int, OPIMSession] = {}
         # Per-k schedule positions loaded from an index but not yet
         # claimed by a live session (see _session / load_index).
@@ -198,7 +205,7 @@ class SeedQueryEngine:
                 delta=self.delta,
                 sampler=self.sampler,
             )
-            session.online.adopt_collections(self.r1, self.r2)
+            session.online.adopt_collections(self.r1, self.r2, self._greedy)
             restored = self._restored_sessions.pop(k, None)
             if restored is not None:
                 session.restore_schedule(
@@ -605,6 +612,7 @@ class SeedQueryEngine:
         self.sampler.restore_state(dict(manifest["sampler_state"]))
         self.r1 = loaded.r1
         self.r2 = loaded.r2
+        self._greedy.clear()
         # Resume the saved per-k delta/2^i schedule positions.  A k
         # with a live session keeps that session's (newer) state; the
         # rest are applied lazily when _session(k) first creates one.
@@ -615,7 +623,7 @@ class SeedQueryEngine:
             if int(k) not in self._sessions
         }
         for session in self._sessions.values():
-            session.online.adopt_collections(self.r1, self.r2)
+            session.online.adopt_collections(self.r1, self.r2, self._greedy)
         self.obs.count("serve.index_loads")
         self.obs.set_gauge("serve.index_rr_sets", self.num_rr_sets)
         self._mark_index_synced()

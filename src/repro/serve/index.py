@@ -136,7 +136,8 @@ def save_manifest(
     if extra:
         manifest["extra"] = extra
     path = directory / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    # Compact JSON: without indent, json.dumps runs its C encoder.
+    path.write_text(json.dumps(manifest) + "\n", encoding="utf-8")
     return manifest
 
 

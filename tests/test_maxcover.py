@@ -17,7 +17,7 @@ from repro.maxcover.bounds import (
     coverage_upper_bound_pessimistic,
     coverage_upper_bound_pessimistic_e,
 )
-from repro.maxcover.greedy import GreedyResult, greedy_max_coverage
+from repro.maxcover.greedy import GreedyResult, SharedGreedy, greedy_max_coverage
 from repro.sampling.collection import RRCollection
 from tests.conftest import brute_force_best_coverage
 
@@ -129,6 +129,95 @@ def random_collections(draw):
     ]
     k = draw(st.integers(1, min(3, n)))
     return n, sets, k
+
+
+@st.composite
+def prefix_cases(draw):
+    """A random collection, a pass width K and a prefix k <= K.
+
+    Small node ranges and few sets make zero-gain ties common; K = n
+    and k = K are drawn often."""
+    n = draw(st.integers(1, 9))
+    num_sets = draw(st.integers(1, 12))
+    sets = [
+        draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        for _ in range(num_sets)
+    ]
+    big_k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    k = draw(st.one_of(st.just(big_k), st.integers(1, big_k)))
+    return n, sets, big_k, k
+
+
+def assert_same_result(got, want):
+    assert got.seeds == want.seeds
+    assert got.coverage == want.coverage
+    assert got.prefix_coverages == want.prefix_coverages
+    assert got.prefix_topk_sums == want.prefix_topk_sums
+    assert got.gains == want.gains
+    assert got.num_rr_sets == want.num_rr_sets
+    assert got.k == want.k
+    assert np.array_equal(got.topk_cumsums, want.topk_cumsums)
+    assert all(type(v) is int for v in got.prefix_topk_sums)
+
+
+class TestGreedyPrefix:
+    @given(prefix_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_equals_k_pass(self, case):
+        """One K-pass holds every k <= K pass: seeds, coverages, gains
+        and the Eq. 10 sums are equal field by field."""
+        n, sets, big_k, k = case
+        c = make_collection(n, sets)
+        assert_same_result(
+            greedy_max_coverage(c, big_k).prefix(k), greedy_max_coverage(c, k)
+        )
+
+    def test_zero_gain_ties_and_full_width(self):
+        # Node 4 is in no set: after three picks every gain ties at 0.
+        c = make_collection(5, [[0, 1], [1], [2], [3, 0]])
+        full = greedy_max_coverage(c, 5)
+        assert full.gains[-2:] == [0, 0]
+        for k in range(1, 6):
+            assert_same_result(full.prefix(k), greedy_max_coverage(c, k))
+        assert full.prefix(5) is full
+
+    def test_topk_table_columns(self):
+        c = make_collection(4, [[0], [0], [0, 1], [1, 2]])
+        result = greedy_max_coverage(c, 3)
+        # Singleton coverages 3, 2, 1, 0: top-1..3 sums at prefix 0.
+        assert result.topk_cumsums[0].tolist() == [3, 5, 6]
+        assert result.prefix_topk_sums == result.topk_cumsums[:, 2].tolist()
+
+    def test_prefix_bounds(self):
+        c = make_collection(3, [[0], [1]])
+        result = greedy_max_coverage(c, 2)
+        for bad in (0, 3):
+            with pytest.raises(ParameterError):
+                result.prefix(bad)
+        hand_built = GreedyResult(
+            seeds=[0], coverage=1, prefix_coverages=[0, 1], prefix_topk_sums=[1, 0]
+        )
+        with pytest.raises(ParameterError):
+            hand_built.prefix(1)
+
+
+class TestSharedGreedy:
+    def test_width_policy(self):
+        c = make_collection(100, [[v] for v in range(100)])
+        shared = SharedGreedy()
+        assert shared.lookup(100, 1) is None
+        assert shared.width(100, 3, 100) == 3
+        widths = []
+        for k in range(1, 51):
+            if shared.lookup(100, k) is None:
+                widths.append(shared.width(100, k, 100))
+                shared.result = greedy_max_coverage(c, widths[-1])
+        assert widths == [1, 2, 4, 8, 16, 32, 64]
+        # A grown R1 keeps the held width; the cap is n.
+        assert shared.width(101, 5, 100) == 64
+        assert shared.width(100, 65, 100) == 100
+        shared.clear()
+        assert shared.result is None
 
 
 class TestGreedyApproximation:

@@ -308,8 +308,9 @@ class TestEndToEndInstrumentation:
         second = algo.query()
         assert first.metadata["alpha_row"]["query"] == 1
         assert second.metadata["alpha_row"]["query"] == 2
-        assert len(second.metadata["alpha_trajectory"]) == 2
-        assert algo.alpha_trajectory == second.metadata["alpha_trajectory"]
+        assert len(algo.alpha_trajectory) == 2
+        assert algo.alpha_trajectory[-1] == second.metadata["alpha_row"]
+        assert "alpha_trajectory" not in second.metadata
         assert [r["alpha"] for r in recorder.alpha_rows()] == [
             first.alpha,
             second.alpha,

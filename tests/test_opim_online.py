@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.opim import BOUND_VARIANTS, OnlineOPIM
 from repro.exceptions import ParameterError
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -112,19 +113,60 @@ class TestSnapshots:
         algo.extend(2000)
         assert algo.query().alpha > 0.0
 
-    def test_greedy_cache_reused_within_budget(self, online):
-        online.extend(500)  # wait: odd? no, 500 even
+    def test_greedy_cache_reused_within_budget(self, medium_graph):
+        """A second query on the same R1 reads the held pass."""
+        reg = MetricsRegistry()
+        online = OnlineOPIM(
+            medium_graph, "IC", k=5, delta=0.05, seed=31, registry=reg
+        )
+        online.extend(500)
         online.query()
-        cached = online._greedy_cache
+        held = online.shared_greedy.result
+        assert (held.num_rr_sets, held.k) == (250, online.k)
         online.query(bound="vanilla")
-        assert online._greedy_cache is cached
+        assert online.shared_greedy.result is held
+        counters = reg.counter_values()
+        assert counters["maxcover.greedy_runs"] == 1
+        assert counters["maxcover.greedy_reuse"] == 1
 
     def test_greedy_cache_invalidated_by_extend(self, online):
+        """Growing R1 replaces the held pass; a standalone instance keeps
+        its width at its own k."""
         online.extend(500)
         online.query()
+        first = online.shared_greedy.result
         online.extend(500)
         snap = online.query()
+        held = online.shared_greedy.result
+        assert held is not first
         assert snap.theta1 == 500
+        assert (held.num_rr_sets, held.k) == (500, online.k)
+        assert snap.seeds == held.seeds
+
+    def test_shared_greedy_serves_smaller_k_as_prefix(self, medium_graph):
+        """Two instances on one sketch and one holder: the larger k's
+        pass answers the smaller k, bit for bit."""
+        big = OnlineOPIM(medium_graph, "IC", k=8, delta=0.05, seed=31)
+        big.extend(2000)
+        small = OnlineOPIM(
+            medium_graph, "IC", k=3, delta=0.05, sampler=big.sampler
+        )
+        small.adopt_collections(big.r1, big.r2, big.shared_greedy)
+        reference = OnlineOPIM(
+            medium_graph, "IC", k=3, delta=0.05, sampler=big.sampler
+        )
+        reference.adopt_collections(big.r1, big.r2)
+        big.query()
+        held = big.shared_greedy.result
+        for variant in BOUND_VARIANTS:
+            got = small.query(bound=variant)
+            want = reference.query(bound=variant)
+            assert got.seeds == want.seeds
+            assert (got.alpha, got.sigma_low, got.sigma_up) == (
+                want.alpha, want.sigma_low, want.sigma_up
+            )
+        assert big.shared_greedy.result is held
+        assert reference.shared_greedy.result is not held
 
 
 class TestDeltaSplit:

@@ -1234,3 +1234,115 @@ class TestAdoptCollections:
                 algo.adopt_collections(
                     RRCollection(other.n), RRCollection(other.n)
                 )
+
+
+# ----------------------------------------------------------------------
+# One greedy pass per sketch, shared by every k
+# ----------------------------------------------------------------------
+SWEEP_KS = list(range(1, 101))
+SWEEP_RR_SETS = 2_000
+
+
+@pytest.fixture(scope="module")
+def pokec_quarter():
+    from repro.datasets import load_dataset
+
+    return load_dataset("pokec-sim", scale=0.25)
+
+
+def _reference_sessions(engine):
+    """Per-k sessions on the engine's sketch, each with its own greedy
+    pass (a private holder), i.e. what every k ran before sharing."""
+    from repro.core.session import OPIMSession
+
+    sessions = {}
+    for k in SWEEP_KS:
+        session = OPIMSession(
+            engine.graph, engine.model, k=k, delta=engine.delta,
+            sampler=engine.sampler,
+        )
+        session.online.adopt_collections(engine.r1, engine.r2)
+        sessions[k] = session
+    return sessions
+
+
+def _sweep(engine, references, order):
+    for k in order:
+        for bound in ("vanilla", "greedy", "leskovec"):
+            got = engine.answer(
+                k, bound=bound, alpha_target=0.01, rr_budget=SWEEP_RR_SETS
+            )
+            want = references[k].query(bound=bound)
+            assert got["sampled"] == 0
+            assert got["seeds"] == want.seeds, (k, bound)
+            for key in ("alpha", "sigma_low", "sigma_up"):
+                assert got[key] == getattr(want, key), (k, bound, key)
+            assert got["queries_made"] == references[k].queries_made
+
+
+class TestSharedGreedySweep:
+    @pytest.mark.parametrize("model", ["IC", "LT"])
+    def test_sweep_matches_per_k_passes_cold_and_warm(
+        self, pokec_quarter, model, tmp_path
+    ):
+        """k = 1..100 ascending then descending, all three bounds: every
+        answer equals a per-k session's on the same sketch, before and
+        after a warm restart from the index."""
+        reg = MetricsRegistry()
+        engine = SeedQueryEngine(
+            pokec_quarter, model, seed=5, index_dir=tmp_path, registry=reg
+        )
+        engine.extend(SWEEP_RR_SETS)
+        references = _reference_sessions(engine)
+        _sweep(engine, references, SWEEP_KS)
+        _sweep(engine, references, SWEEP_KS[::-1])
+        # Ascending 1..100 doubles 1, 2, 4, ..., 128; descending reads.
+        assert reg.counter_values()["maxcover.greedy_runs"] == 8
+        engine.save_index()
+        engine.close()
+
+        warm = SeedQueryEngine(pokec_quarter, model, seed=5, index_dir=tmp_path)
+        try:
+            assert warm.loaded_from_index
+            _sweep(warm, references, SWEEP_KS[::-1])
+            _sweep(warm, references, SWEEP_KS)
+        finally:
+            warm.close()
+
+    def test_sweep_after_growth_pass_count(self, medium_graph):
+        reg = MetricsRegistry()
+        with SeedQueryEngine(
+            medium_graph, "IC", seed=3, registry=reg
+        ) as engine:
+
+            def passes():
+                return reg.counter_values().get("maxcover.greedy_runs", 0)
+
+            def sweep(order):
+                before = passes()
+                for k in order:
+                    answer = engine.answer(
+                        k, alpha_target=0.01, rr_budget=engine.num_rr_sets
+                    )
+                    assert answer["sampled"] == 0
+                return passes() - before
+
+            engine.extend(2000)
+            engine.answer(20, alpha_target=0.01, rr_budget=2000)
+            assert passes() == 1
+            # k <= 20 on the same sketch: lookups only.
+            assert sweep(range(1, 21)) == 0
+            engine.extend(2000)
+            # A grown sketch keeps width 20, then 21 -> 40 and 41 -> 80.
+            assert sweep(range(1, 51)) == 3
+            engine.extend(2000)
+            # Descending after growth: one pass at the held width 80,
+            # i.e. 80 argmax scans of n marginals.
+            evals = reg.counter_values()["maxcover.coverage_evals"]
+            assert sweep(range(50, 0, -1)) == 1
+            assert (
+                reg.counter_values()["maxcover.coverage_evals"] - evals
+                == 80 * medium_graph.n
+            )
+            reuse = reg.counter_values()["maxcover.greedy_reuse"]
+            assert reuse == 20 + 47 + 49
