@@ -16,6 +16,15 @@ and counts its greedy passes (``maxcover.greedy_runs``): every ``k``
 reads a prefix of one shared pass, whose width doubles on a miss, so
 the sweep runs 7 passes where per-``k`` passes would run 50.
 
+And it times the flat RR-set layout on the pokec-sim ×2.5 sketch
+(n = 8000): ``layout.append_build_ms`` appends one RR set to an
+8000-set sketch and rebuilds its inverted index (a counting sort of the
+new entries, not a re-sort of all of them), and ``layout.load_ms``
+warm-loads an index of theta and of 4·theta RR sets; their ratio
+``layout.load_ratio_4x`` is about 1 because a load wraps the mapped
+arrays instead of looping over the sets.  Each is a median of
+:data:`LAYOUT_TRIALS` trials.
+
 This benchmark measures all of these on one dataset, asserts the
 contract (warm samples nothing; cached p50 under 5 ms), and persists
 p50/p95 latencies to ``benchmarks/results/BENCH_serve.json`` — the
@@ -27,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import json
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
@@ -34,7 +44,9 @@ import pytest
 
 from repro.datasets.registry import load_dataset
 from repro.obs import MetricsRegistry
+from repro.sampling.kernel import RRSampler
 from repro.serve import SeedQueryEngine, SeedQueryServer, ServeClient
+from repro.serve.index import graph_fingerprint, load_index, save_index
 from repro.utils.timer import Timer
 
 from conftest import run_once
@@ -46,6 +58,10 @@ ALPHA_TARGET = 0.3
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 25
 SWEEP_KS = range(1, 51)
+LAYOUT_SCALE = 2.5
+LAYOUT_SKETCH = 8000
+LAYOUT_THETA = 4000
+LAYOUT_TRIALS = 31
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +123,56 @@ def _warm_sweep(graph, index_dir):
     }
 
 
+def _median_ms(samples):
+    return round(1e3 * statistics.median(samples), 3)
+
+
+def _layout_timings():
+    """Append-and-rebuild and warm-load times of the flat layout."""
+    big = load_dataset("pokec-sim", scale=LAYOUT_SCALE)
+    sampler = RRSampler(big, "IC", seed=SEED)
+    sketch = sampler.new_collection(LAYOUT_SKETCH)
+    sketch.build()
+    appends = []
+    for _ in range(LAYOUT_TRIALS):
+        sampler.fill(sketch, 1)
+        started = time.perf_counter()
+        sketch.build()
+        appends.append(time.perf_counter() - started)
+    fingerprint = graph_fingerprint(big)
+    thetas = (LAYOUT_THETA, 4 * LAYOUT_THETA)
+    loads = {theta: [] for theta in thetas}
+    with tempfile.TemporaryDirectory() as tmp:
+        for theta in thetas:
+            save_index(
+                Path(tmp) / str(theta), big, "IC",
+                r1=sampler.new_collection(theta // 2),
+                r2=sampler.new_collection(theta // 2),
+                sampler_state=sampler.state(), seed=SEED,
+                graph_hash=fingerprint,
+            )
+        # Interleaved, in alternating order, so host drift hits both.
+        for trial in range(LAYOUT_TRIALS):
+            for theta in thetas[:: 1 if trial % 2 else -1]:
+                started = time.perf_counter()
+                load_index(Path(tmp) / str(theta), big, graph_hash=fingerprint)
+                loads[theta].append(time.perf_counter() - started)
+    at_theta = statistics.median(loads[LAYOUT_THETA])
+    at_4theta = statistics.median(loads[4 * LAYOUT_THETA])
+    return {
+        "n": big.n,
+        "sketch_rr_sets": LAYOUT_SKETCH,
+        "trials": LAYOUT_TRIALS,
+        "append_build_ms": _median_ms(appends),
+        "load_ms": {
+            "theta": LAYOUT_THETA,
+            "at_theta": _median_ms(loads[LAYOUT_THETA]),
+            "at_4theta": _median_ms(loads[4 * LAYOUT_THETA]),
+        },
+        "load_ratio_4x": round(at_4theta / at_theta, 3),
+    }
+
+
 async def _cached_latencies(graph, index_dir):
     """End-to-end HTTP latency of cached answers under concurrency."""
     engine = SeedQueryEngine(graph, "IC", seed=SEED, index_dir=index_dir)
@@ -148,9 +214,10 @@ def bench_serve_cold_warm_cached(benchmark, graph, tmp_path_factory):
         warm_seconds = _warm_query(graph, index_dir, cold_answer)
         sweep = _warm_sweep(graph, index_dir)
         cached = asyncio.run(_cached_latencies(graph, index_dir))
-        return cold_seconds, warm_seconds, sweep, cached, cold_answer
+        layout = _layout_timings()
+        return cold_seconds, warm_seconds, sweep, cached, cold_answer, layout
 
-    cold_seconds, warm_seconds, sweep, cached, cold_answer = run_once(
+    cold_seconds, warm_seconds, sweep, cached, cold_answer, layout = run_once(
         benchmark, run
     )
     cached_stats = _percentiles(cached)
@@ -169,6 +236,7 @@ def bench_serve_cold_warm_cached(benchmark, graph, tmp_path_factory):
         "warm_index": {"p50_ms": round(1e3 * warm_seconds, 3), "samples": 1},
         "sweep": sweep,
         "cached": cached_stats,
+        "layout": layout,
     }
     results_dir = Path(__file__).parent / "results"
     results_dir.mkdir(exist_ok=True)

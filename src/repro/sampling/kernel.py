@@ -55,6 +55,7 @@ surviving walk step, and triggering charges the in-degree worst case.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,13 +63,14 @@ import numpy as np
 from repro.exceptions import ParameterError, StateError
 from repro.graph.digraph import DiGraph
 from repro.obs import resolve_registry
-from repro.sampling.collection import RRCollection
+from repro.sampling.collection import RRCollection, stable_key_order
 from repro.sampling.rrset_lt import LTAliasTables
 from repro.sampling.rrset_triggering import TriggeringSetSampler
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "KERNELS",
+    "KernelOutput",
     "AUTO_KERNEL",
     "BATCH_BYTES",
     "SAMPLE_ONE_BATCH",
@@ -117,32 +119,50 @@ def resolve_kernel(kernel: str = AUTO_KERNEL) -> str:
     return kernel
 
 
+#: A kernel's output: RR set ``i`` is ``nodes[offsets[i]:offsets[i+1]]``
+#: (int32 nodes, int64 offsets), then ``edges_examined`` and the number
+#: of levels (IC, triggering) or walk steps (LT) advanced.
+KernelOutput = Tuple[np.ndarray, np.ndarray, int, int]
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _empty_output() -> KernelOutput:
+    return np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64), 0, 0
+
+
 # ----------------------------------------------------------------------
-# Shared assembly helper
+# Shared assembly helpers
 # ----------------------------------------------------------------------
 def _assemble(
     batch: int,
     sample_chunks: List[np.ndarray],
     node_chunks: List[np.ndarray],
-) -> List[np.ndarray]:
-    """Split flat (set, node) level records into per-set arrays.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Order flat (set, node) level records into ``(nodes, offsets)``.
 
-    Stable-sorts by set id, so each RR set keeps its insertion order:
+    A stable order by set id, so each RR set keeps its insertion order:
     root first, then each level's fresh nodes in ascending id order —
     the layout the RNG contract fixes.
     """
     samples = np.concatenate(sample_chunks)
     nodes = np.concatenate(node_chunks)
-    order = np.argsort(samples, kind="stable")
-    samples = samples[order]
-    nodes = nodes[order]
-    counts = np.bincount(samples, minlength=batch)
-    offsets = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return [
-        nodes[offsets[i] : offsets[i + 1]].astype(np.int32)
-        for i in range(batch)
-    ]
+    order = stable_key_order(samples, batch)
+    offsets = _offsets(np.bincount(samples, minlength=batch))
+    return nodes[order].astype(np.int32), offsets
+
+
+def _flatten(rr_sets: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(nodes, offsets)`` of per-set node lists (the python oracles)."""
+    offsets = _offsets(np.array([len(s) for s in rr_sets], dtype=np.int64))
+    nodes = np.fromiter(
+        chain.from_iterable(rr_sets), dtype=np.int32, count=int(offsets[-1])
+    )
+    return nodes, offsets
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +170,7 @@ def _assemble(
 # ----------------------------------------------------------------------
 def _ic_python(
     graph: DiGraph, roots: np.ndarray, rng: np.random.Generator
-) -> Tuple[List[np.ndarray], int, int]:
+) -> KernelOutput:
     """Loop-based IC reference — the oracle the fast kernels must match.
 
     Consumes exactly one ``rng.random(total)`` array per level (contract
@@ -190,13 +210,12 @@ def _ic_python(
             visited[s].update(level_nodes)
             rr_sets[s].extend(level_nodes)
             frontier[s] = level_nodes
-    sets = [np.asarray(nodes, dtype=np.int32) for nodes in rr_sets]
-    return sets, edges_examined, levels
+    return (*_flatten(rr_sets), edges_examined, levels)
 
 
 def _ic_fast(
     graph: DiGraph, roots: np.ndarray, rng: np.random.Generator
-) -> Tuple[List[np.ndarray], int, int]:
+) -> KernelOutput:
     """Frontier-batched IC expansion: one gather/scatter pass per level."""
     n = graph.n
     offsets = graph.in_offsets
@@ -241,7 +260,7 @@ def _ic_fast(
         sample_chunks.append(frontier_sets)
         node_chunks.append(frontier_nodes)
 
-    return _assemble(batch, sample_chunks, node_chunks), edges_examined, levels
+    return (*_assemble(batch, sample_chunks, node_chunks), edges_examined, levels)
 
 
 def sample_rr_sets_ic_kernel(
@@ -249,17 +268,17 @@ def sample_rr_sets_ic_kernel(
     roots: np.ndarray,
     rng: np.random.Generator,
     kernel: str = "vectorized",
-) -> Tuple[List[np.ndarray], int, int]:
+) -> KernelOutput:
     """Sample one IC RR set per root under the kernel RNG contract.
 
-    Returns ``(rr_sets, edges_examined, levels)``; ``rr_sets[i]``
-    starts with ``roots[i]``.  All kernels are bitwise-interchangeable
-    for the same generator state.
+    Returns a :data:`KernelOutput`; RR set ``i`` starts with
+    ``roots[i]``.  All kernels are bitwise-interchangeable for the same
+    generator state.
     """
     kernel = resolve_kernel(kernel)
     roots = np.asarray(roots, dtype=np.int64)
     if roots.shape[0] == 0:
-        return [], 0, 0
+        return _empty_output()
     if kernel == "python":
         return _ic_python(graph, roots, rng)
     return _ic_fast(graph, roots, rng)
@@ -273,7 +292,7 @@ def _lt_python(
     roots: np.ndarray,
     rng: np.random.Generator,
     tables: LTAliasTables,
-) -> Tuple[List[np.ndarray], int, int]:
+) -> KernelOutput:
     """Loop-based LT reference: lock-step reverse walks."""
     offsets = graph.in_offsets
     sources = graph.in_sources
@@ -313,8 +332,7 @@ def _lt_python(
             walks.append((s, w))
         if not walks:
             break
-    sets = [np.asarray(nodes, dtype=np.int32) for nodes in rr_sets]
-    return sets, edges_examined, steps
+    return (*_flatten(rr_sets), edges_examined, steps)
 
 
 def _lt_fast(
@@ -322,7 +340,7 @@ def _lt_fast(
     roots: np.ndarray,
     rng: np.random.Generator,
     tables: LTAliasTables,
-) -> Tuple[List[np.ndarray], int, int]:
+) -> KernelOutput:
     """Lock-step LT walks with vectorized alias sampling."""
     n = graph.n
     offsets = graph.in_offsets
@@ -365,7 +383,7 @@ def _lt_fast(
         sample_chunks.append(walk_sets)
         node_chunks.append(walk_nodes)
 
-    return _assemble(batch, sample_chunks, node_chunks), edges_examined, steps
+    return (*_assemble(batch, sample_chunks, node_chunks), edges_examined, steps)
 
 
 def sample_rr_sets_lt_kernel(
@@ -374,16 +392,16 @@ def sample_rr_sets_lt_kernel(
     rng: np.random.Generator,
     tables: LTAliasTables,
     kernel: str = "vectorized",
-) -> Tuple[List[np.ndarray], int, int]:
+) -> KernelOutput:
     """Sample one LT RR set per root under the kernel RNG contract.
 
-    Returns ``(rr_sets, edges_examined, steps)``.  The column draw uses
+    Returns a :data:`KernelOutput`.  The column draw uses
     ``floor(coin * degree)`` (contract item 3).
     """
     kernel = resolve_kernel(kernel)
     roots = np.asarray(roots, dtype=np.int64)
     if roots.shape[0] == 0:
-        return [], 0, 0
+        return _empty_output()
     if kernel == "python":
         return _lt_python(graph, roots, rng, tables)
     return _lt_fast(graph, roots, rng, tables)
@@ -398,7 +416,7 @@ def sample_rr_sets_triggering_kernel(
     rng: np.random.Generator,
     triggering_sets: TriggeringSetSampler,
     kernel: str = "vectorized",
-) -> Tuple[List[np.ndarray], int, int]:
+) -> KernelOutput:
     """Sample one triggering-model RR set per root, level-synchronously.
 
     The per-node triggering callable is inherently scalar, so both
@@ -412,7 +430,7 @@ def sample_rr_sets_triggering_kernel(
     roots = np.asarray(roots, dtype=np.int64)
     batch = roots.shape[0]
     if batch == 0:
-        return [], 0, 0
+        return _empty_output()
     n = graph.n
     in_degrees = np.diff(graph.in_offsets)
     edges_examined = 0
@@ -437,11 +455,7 @@ def sample_rr_sets_triggering_kernel(
                 visited[s].update(level_nodes)
                 rr_sets[s].extend(level_nodes)
                 frontier[s] = level_nodes
-        return (
-            [np.asarray(nodes, dtype=np.int32) for nodes in rr_sets],
-            edges_examined,
-            levels,
-        )
+        return (*_flatten(rr_sets), edges_examined, levels)
 
     visited_matrix = np.zeros((batch, n), dtype=bool)
     frontier_sets = np.arange(batch, dtype=np.int64)
@@ -477,11 +491,7 @@ def sample_rr_sets_triggering_kernel(
         sample_chunks.append(frontier_sets)
         node_chunks.append(frontier_nodes)
 
-    return (
-        _assemble(batch, sample_chunks, node_chunks),
-        edges_examined,
-        levels,
-    )
+    return (*_assemble(batch, sample_chunks, node_chunks), edges_examined, levels)
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +505,7 @@ def sample_rr_sets_kernel(
     kernel: str = "vectorized",
     lt_tables: Optional[LTAliasTables] = None,
     triggering_sets: Optional[TriggeringSetSampler] = None,
-) -> Tuple[List[np.ndarray], int, int]:
+) -> KernelOutput:
     """Model dispatch over the kernel samplers (one RR set per root)."""
     model = model.upper()
     if model == "IC":
@@ -599,12 +609,14 @@ class RRSampler:
                 self.obs.histogram("sampling.table_seconds").observe(
                     time.perf_counter() - started
                 )
-        self._buffer: List[np.ndarray] = []
+        # The batch sample_one hands out, and the next set it hands out.
+        self._batch: Tuple[np.ndarray, np.ndarray] = _empty_output()[:2]
+        self._cursor = 0
 
     @property
     def buffered(self) -> int:
         """RR sets generated but not yet handed out."""
-        return len(self._buffer)
+        return self._batch[1].shape[0] - 1 - self._cursor
 
     def _draw_roots(self, size: int) -> np.ndarray:
         """Roots of one batch, in one draw (RNG-contract item 1).
@@ -614,10 +626,11 @@ class RRSampler:
         """
         return self.rng.integers(0, self.graph.n, size=size)
 
-    def _generate(self, roots: np.ndarray) -> List[np.ndarray]:
-        """One kernel call: an RR set per root, counters updated."""
+    def _generate(self, roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One kernel call: ``(nodes, offsets)`` of an RR set per root,
+        counters updated."""
         with self.obs.trace("kernel/refill"):
-            sets, edges, levels = sample_rr_sets_kernel(
+            nodes, offsets, edges, levels = sample_rr_sets_kernel(
                 self.graph,
                 self.model,
                 roots,
@@ -626,17 +639,17 @@ class RRSampler:
                 lt_tables=self._lt_tables,
                 triggering_sets=self.triggering_sets,
             )
-        nodes = sum(s.shape[0] for s in sets)
+        size = int(nodes.shape[0])
         self.edges_examined += edges
         self.levels_advanced += levels
-        self.nodes_touched += nodes
+        self.nodes_touched += size
         obs = self.obs
-        obs.count("sampling.rr_sets", len(sets))
+        obs.count("sampling.rr_sets", offsets.shape[0] - 1)
         obs.count("sampling.edges", edges)
-        obs.count("sampling.nodes", nodes)
+        obs.count("sampling.nodes", size)
         obs.count("kernel.batches")
         obs.count("kernel.levels", levels)
-        return sets
+        return nodes, offsets
 
     def sample_one(self, root: Optional[int] = None) -> np.ndarray:
         """Sample one RR set; the root is random when omitted."""
@@ -647,10 +660,14 @@ class RRSampler:
                 )
             nodes = self._generate(np.array([root], dtype=np.int64))[0]
         else:
-            if not self._buffer:
+            if not self.buffered:
                 size = min(self.batch_cap, SAMPLE_ONE_BATCH)
-                self._buffer = self._generate(self._draw_roots(size))[::-1]
-            nodes = self._buffer.pop()
+                self._batch = self._generate(self._draw_roots(size))
+                self._cursor = 0
+            batch_nodes, offsets = self._batch
+            at = self._cursor
+            nodes = batch_nodes[offsets[at] : offsets[at + 1]]
+            self._cursor += 1
         self.sets_generated += 1
         return nodes
 
@@ -667,13 +684,19 @@ class RRSampler:
                 "collection node universe does not match the sampler's graph"
             )
         started = time.perf_counter()
-        buffered = min(count, len(self._buffer))
-        for _ in range(buffered):
-            collection.append(self._buffer.pop())
+        buffered = min(count, self.buffered)
+        if buffered:
+            batch_nodes, offsets = self._batch
+            at = self._cursor
+            window = offsets[at : at + buffered + 1]
+            collection.append_flat(
+                batch_nodes[window[0] : window[-1]], window - window[0]
+            )
+            self._cursor += buffered
         remaining = count - buffered
         while remaining > 0:
             size = min(remaining, self.batch_cap)
-            collection.extend(self._generate(self._draw_roots(size)))
+            collection.append_flat(*self._generate(self._draw_roots(size)))
             remaining -= size
         self.sets_generated += count
         self.fill_seconds += time.perf_counter() - started
@@ -688,10 +711,10 @@ class RRSampler:
     # -- resumable stream state ----------------------------------------
     def state(self) -> Dict[str, Any]:
         """Snapshot of the stream position (for warm-index manifests)."""
-        if self._buffer:
+        if self.buffered:
             raise StateError(
                 f"cannot capture sampler state with "
-                f"{len(self._buffer)} buffered RR sets"
+                f"{self.buffered} buffered RR sets"
             )
         return {
             "kind": "serial-kernel",
@@ -716,7 +739,7 @@ class RRSampler:
                 f"the sampler runs {self.kernel!r}; use the matching kernel "
                 "to keep the stream deterministic"
             )
-        if self.sets_generated or self._buffer:
+        if self.sets_generated or self.buffered:
             raise ParameterError(
                 "cannot restore sampling state into a sampler that has "
                 "already generated RR sets"

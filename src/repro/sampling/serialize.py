@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.exceptions import GraphFormatError
+from repro.exceptions import GraphFormatError, ParameterError
 from repro.sampling.collection import RRCollection
 
 PathLike = Union[str, Path]
@@ -24,13 +24,13 @@ _FORMAT_VERSION = 1
 
 def save_collection(collection: RRCollection, path: PathLike) -> None:
     """Write *collection* to ``path`` (a ``.npz`` archive)."""
-    collection.build()
+    nodes, offsets = collection.flat()
     np.savez_compressed(
         Path(path),
         version=np.int64(_FORMAT_VERSION),
         n=np.int64(collection.n),
-        rr_offsets=collection.rr_offsets,
-        rr_nodes=collection.rr_nodes,
+        rr_offsets=offsets,
+        rr_nodes=nodes,
     )
 
 
@@ -47,10 +47,6 @@ def load_collection(path: PathLike) -> RRCollection:
             n = int(archive["n"])
             offsets = archive["rr_offsets"]
             nodes = archive["rr_nodes"]
-    except (KeyError, ValueError, OSError) as exc:
+        return RRCollection.from_flat(n, nodes, offsets)
+    except (KeyError, ValueError, OSError, ParameterError) as exc:
         raise GraphFormatError(f"{path}: not a valid RR collection file: {exc}")
-
-    collection = RRCollection(n)
-    for i in range(offsets.shape[0] - 1):
-        collection.append(nodes[offsets[i] : offsets[i + 1]])
-    return collection

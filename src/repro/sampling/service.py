@@ -147,16 +147,8 @@ def generate_chunk(
     worker, and a crash-recovery re-issue all produce identical bytes.
     """
     sampler = RRSampler(graph, model, seed=seed)
-    staging = RRCollection(graph.n)
-    sampler.fill(staging, count)
-    sets = staging.sets()
-    sizes = np.fromiter((s.size for s in sets), dtype=np.int64, count=count)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    flat = (
-        np.concatenate(sets) if count else np.empty(0, dtype=np.int32)
-    )
-    return flat, offsets, int(sampler.edges_examined), int(sizes.sum())
+    flat, offsets = sampler.new_collection(count).flat()
+    return flat, offsets, int(sampler.edges_examined), int(flat.shape[0])
 
 
 def _require_pool_state(state: Dict[str, Any]) -> None:
@@ -577,8 +569,7 @@ class SamplingPool:
             flat, offsets, chunk_edges, chunk_nodes = results[index]
             edges += chunk_edges
             nodes += chunk_nodes
-            for i in range(offsets.shape[0] - 1):
-                collection.append(flat[offsets[i] : offsets[i + 1]])
+            collection.append_flat(flat, offsets)
         self.sets_generated += count
         self.edges_examined += edges
         self.nodes_touched += nodes

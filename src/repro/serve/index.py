@@ -18,10 +18,18 @@ On-disk layout (one directory per index)::
     r1_offsets.npy    CSR offsets into r1_nodes
     r2_nodes.npy      / r2_offsets.npy — same for the R2 half
 
-The ``.npy`` halves are loaded with ``mmap_mode="r"`` by default, so a
-multi-hundred-MB sketch maps lazily instead of being read up front;
-every RR set handed to :class:`~repro.sampling.collection.RRCollection`
-is a zero-copy view into the mapped file.
+The ``.npy`` halves are loaded with ``mmap_mode="r"`` by default and
+wrapped as they are: the loaded
+:class:`~repro.sampling.collection.RRCollection` holds zero-copy views
+of the mapped node arrays, so a load costs O(1) in the number of RR
+sets after a structural check of the offsets (1-D int32 nodes and
+int64 offsets, ``offsets[0] == 0``, no empty set, ``offsets[-1] ==
+nodes.size`` and the manifest's theta).  Node ids are range-checked by
+the collection's first ``build()``; every failure is a
+:class:`~repro.exceptions.GraphFormatError`.  :func:`save_index`
+writes each ``.npy`` to a temp file and ``os.replace``-s it, so saving
+into the directory a live index was loaded from never truncates a
+mapped file.
 
 The manifest binds the sketch to its provenance: ``graph_hash`` (a
 SHA-256 over the CSR arrays), ``model``, ``seed``, the chunk policy /
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -91,15 +100,6 @@ class LoadedIndex:
     manifest: Dict[str, Any]
 
 
-def _collection_from_arrays(
-    n: int, nodes: np.ndarray, offsets: np.ndarray
-) -> RRCollection:
-    collection = RRCollection(n)
-    for i in range(offsets.shape[0] - 1):
-        collection.append(nodes[offsets[i] : offsets[i + 1]])
-    return collection
-
-
 def save_manifest(
     directory: PathLike,
     graph: DiGraph,
@@ -141,6 +141,18 @@ def save_manifest(
     return manifest
 
 
+def _replace_npy(path: Path, array: np.ndarray) -> None:
+    """Write *array* to *path* through a temp file and ``os.replace``.
+
+    A live memory map of the old file (a loaded index wraps one) keeps
+    reading the old inode instead of a file truncated under it.
+    """
+    temp = path.with_name(path.name + ".tmp")
+    with open(temp, "wb") as handle:
+        np.save(handle, array)
+    os.replace(temp, path)
+
+
 def save_index(
     directory: PathLike,
     graph: DiGraph,
@@ -163,9 +175,9 @@ def save_index(
     directory.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name, collection in zip(_HALVES, (r1, r2)):
-        collection.build()
-        np.save(directory / f"{name}_nodes.npy", collection.rr_nodes)
-        np.save(directory / f"{name}_offsets.npy", collection.rr_offsets)
+        nodes, offsets = collection.flat()
+        _replace_npy(directory / f"{name}_nodes.npy", nodes)
+        _replace_npy(directory / f"{name}_offsets.npy", offsets)
         counts[name] = len(collection)
     return save_manifest(
         directory,
@@ -238,12 +250,46 @@ def load_index(
             raise GraphFormatError(
                 f"{directory}: cannot read the {name} half: {exc}"
             )
-        collection = _collection_from_arrays(graph.n, nodes, offsets)
-        expected = int(manifest[f"theta{name[1]}"])
-        if len(collection) != expected:
-            raise GraphFormatError(
-                f"{directory}: manifest promises {expected} RR sets in "
-                f"{name}, files contain {len(collection)}"
-            )
-        halves[name] = collection
+        halves[name] = _wrap_half(
+            directory, name, graph.n, nodes, offsets,
+            int(manifest[f"theta{name[1]}"]),
+        )
     return LoadedIndex(r1=halves["r1"], r2=halves["r2"], manifest=manifest)
+
+
+def _wrap_half(
+    directory: Path,
+    name: str,
+    n: int,
+    nodes: np.ndarray,
+    offsets: np.ndarray,
+    expected: int,
+) -> RRCollection:
+    """Check one half's arrays structurally and wrap them in O(1).
+
+    ``np.asarray`` drops the ``np.memmap`` subclass, so later numpy
+    calls on the views skip its hooks; node ids are range-checked by
+    the collection's first ``build()``.
+    """
+    nodes = np.asarray(nodes)
+    offsets = np.asarray(offsets)
+    if (
+        nodes.ndim != 1
+        or offsets.ndim != 1
+        or nodes.dtype != np.int32
+        or offsets.dtype != np.int64
+    ):
+        raise GraphFormatError(
+            f"{directory}: the {name} half must be 1-D int32 nodes and "
+            f"int64 offsets, got {nodes.dtype}{list(nodes.shape)} and "
+            f"{offsets.dtype}{list(offsets.shape)}"
+        )
+    if offsets.shape[0] - 1 != expected:
+        raise GraphFormatError(
+            f"{directory}: manifest promises {expected} RR sets in "
+            f"{name}, files contain {offsets.shape[0] - 1}"
+        )
+    try:
+        return RRCollection.from_flat(n, nodes, offsets)
+    except ParameterError as exc:
+        raise GraphFormatError(f"{directory}: corrupt {name} half: {exc}")

@@ -21,14 +21,20 @@ from repro.sampling.kernel import (
 from repro.sampling.rrset_lt import LTAliasTables
 
 
+def _sets(nodes, offsets):
+    return [nodes[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]
+
+
 def sample_rr_sets_ic_batch(graph, roots, rng):
-    sets, edges, _ = sample_rr_sets_ic_kernel(graph, roots, rng)
-    return sets, edges
+    nodes, offsets, edges, _ = sample_rr_sets_ic_kernel(graph, roots, rng)
+    return _sets(nodes, offsets), edges
 
 
 def sample_rr_sets_lt_batch(graph, roots, rng, tables):
-    sets, edges, _ = sample_rr_sets_lt_kernel(graph, roots, rng, tables)
-    return sets, edges
+    nodes, offsets, edges, _ = sample_rr_sets_lt_kernel(
+        graph, roots, rng, tables
+    )
+    return _sets(nodes, offsets), edges
 
 
 class TestBatchICPrimitives:

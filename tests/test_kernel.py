@@ -59,6 +59,18 @@ def _identical(a, b):
     )
 
 
+def _flat_identical(a, b):
+    """Two kernels' ``(nodes, offsets)``: same dtypes, same bytes."""
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        for x, y in zip(a, b)
+    )
+
+
+def _sets(nodes, offsets):
+    return [nodes[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]
+
+
 @pytest.fixture(scope="module")
 def oracle_graph():
     return assign_wc_weights(power_law_graph(300, 6, seed=31, name="oracle"))
@@ -94,13 +106,13 @@ class TestEquivalenceOracle:
         roots = np.random.default_rng(5).integers(0, oracle_graph.n, 120)
         rng_a = np.random.default_rng(77)
         rng_b = np.random.default_rng(77)
-        sets_a, gamma_a, levels_a = sample_rr_sets_ic_kernel(
+        *flat_a, gamma_a, levels_a = sample_rr_sets_ic_kernel(
             oracle_graph, roots, rng_a, "python"
         )
-        sets_b, gamma_b, levels_b = sample_rr_sets_ic_kernel(
+        *flat_b, gamma_b, levels_b = sample_rr_sets_ic_kernel(
             oracle_graph, roots, rng_b, fast
         )
-        assert _identical(sets_a, sets_b)
+        assert _flat_identical(flat_a, flat_b)
         assert gamma_a == gamma_b
         assert levels_a == levels_b
         # Same randomness consumed: the streams stay aligned after the
@@ -113,13 +125,13 @@ class TestEquivalenceOracle:
         roots = np.random.default_rng(6).integers(0, oracle_graph.n, 120)
         rng_a = np.random.default_rng(78)
         rng_b = np.random.default_rng(78)
-        sets_a, gamma_a, steps_a = sample_rr_sets_lt_kernel(
+        *flat_a, gamma_a, steps_a = sample_rr_sets_lt_kernel(
             oracle_graph, roots, rng_a, tables, "python"
         )
-        sets_b, gamma_b, steps_b = sample_rr_sets_lt_kernel(
+        *flat_b, gamma_b, steps_b = sample_rr_sets_lt_kernel(
             oracle_graph, roots, rng_b, tables, fast
         )
-        assert _identical(sets_a, sets_b)
+        assert _flat_identical(flat_a, flat_b)
         assert gamma_a == gamma_b
         assert steps_a == steps_b
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -133,23 +145,24 @@ class TestEquivalenceOracle:
         roots = np.random.default_rng(8).integers(0, oracle_graph.n, 60)
         rng_a = np.random.default_rng(79)
         rng_b = np.random.default_rng(79)
-        sets_a, gamma_a, levels_a = sample_rr_sets_triggering_kernel(
+        *flat_a, gamma_a, levels_a = sample_rr_sets_triggering_kernel(
             oracle_graph, roots, rng_a, triggering, "python"
         )
-        sets_b, gamma_b, levels_b = sample_rr_sets_triggering_kernel(
+        *flat_b, gamma_b, levels_b = sample_rr_sets_triggering_kernel(
             oracle_graph, roots, rng_b, triggering, fast
         )
-        assert _identical(sets_a, sets_b)
+        assert _flat_identical(flat_a, flat_b)
         assert gamma_a == gamma_b
         assert levels_a == levels_b
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_rr_sets_are_root_first_and_level_sorted(self, oracle_graph):
         roots = np.arange(50, dtype=np.int64)
-        sets, _, _ = sample_rr_sets_ic_kernel(
+        nodes, offsets, _, _ = sample_rr_sets_ic_kernel(
             oracle_graph, roots, np.random.default_rng(3), "vectorized"
         )
-        for root, rr in zip(roots, sets):
+        assert offsets.dtype == np.int64 and offsets.shape == (51,)
+        for root, rr in zip(roots, _sets(nodes, offsets)):
             assert rr.dtype == np.int32
             assert rr[0] == root
             assert len(set(rr.tolist())) == rr.shape[0]
@@ -164,10 +177,12 @@ class TestEquivalenceOracle:
             )
 
     def test_empty_batch(self, oracle_graph):
-        sets, gamma, levels = sample_rr_sets_ic_kernel(
+        nodes, offsets, gamma, levels = sample_rr_sets_ic_kernel(
             oracle_graph, np.empty(0, dtype=np.int64), np.random.default_rng(0)
         )
-        assert sets == [] and gamma == 0 and levels == 0
+        assert nodes.dtype == np.int32 and nodes.shape == (0,)
+        assert offsets.tolist() == [0]
+        assert gamma == 0 and levels == 0
 
 
 class TestKernelRRSampler:
@@ -394,11 +409,11 @@ class TestConstantWeightCrossCheck:
         roots = np.random.default_rng(1).integers(0, graph.n, 80)
         rng_a = np.random.default_rng(55)
         rng_b = np.random.default_rng(55)
-        sets_a, gamma_a, _ = sample_rr_sets_ic_kernel(
+        *flat_a, gamma_a, _ = sample_rr_sets_ic_kernel(
             graph, roots, rng_a, "python"
         )
-        sets_b, gamma_b, _ = sample_rr_sets_ic_kernel(
+        *flat_b, gamma_b, _ = sample_rr_sets_ic_kernel(
             graph, roots, rng_b, "vectorized"
         )
-        assert _identical(sets_a, sets_b)
+        assert _flat_identical(flat_a, flat_b)
         assert gamma_a == gamma_b

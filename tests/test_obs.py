@@ -651,8 +651,10 @@ def test_noop_instrumentation_overhead_guard(medium_graph):
         while remaining:
             size = min(remaining, batch_cap(n))
             roots = rng.integers(0, n, size=size)
-            sets, _, _ = sample_rr_sets_kernel(medium_graph, "IC", roots, rng)
-            collection.extend(sets)
+            nodes, offsets, _, _ = sample_rr_sets_kernel(
+                medium_graph, "IC", roots, rng
+            )
+            collection.append_flat(nodes, offsets)
             remaining -= size
 
     def timed(fn, rep):

@@ -35,16 +35,20 @@ from repro.sampling.rrset_lt import LTAliasTables
 from repro.sampling.rrset_triggering import lt_triggering_sets
 
 
+def _sets(nodes, offsets):
+    return [nodes[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]
+
+
 def sample_rr_set_ic(graph, root, rng):
-    sets, edges, _ = sample_rr_sets_ic_kernel(graph, np.array([root]), rng)
-    return sets[0], edges
+    nodes, _, edges, _ = sample_rr_sets_ic_kernel(graph, np.array([root]), rng)
+    return nodes, edges
 
 
 def sample_rr_set_lt(graph, root, rng, tables):
-    sets, edges, _ = sample_rr_sets_lt_kernel(
+    nodes, _, edges, _ = sample_rr_sets_lt_kernel(
         graph, np.array([root]), rng, tables
     )
-    return sets[0], edges
+    return nodes, edges
 
 
 class TestAliasTable:
@@ -323,6 +327,18 @@ class TestPinnedLTStreams:
         )
 
 
+class TestPinnedICStream:
+    """The IC stream of index format 2, pinned as the per-set layout
+    drew it: flat kernel output must leave every RR set and the
+    generator state where they were."""
+
+    def test_ic_stream(self):
+        sampler = RRSampler(load_dataset("pokec-sim", scale=0.25), "IC", seed=2018)
+        assert stream_digest(sampler) == (
+            "cf21ab6b55cfd0f3f26c077d380cac5b095d40ef6b8c555ef5c44754fb96c64d"
+        )
+
+
 class TestICSampler:
     def test_root_always_included(self, tiny_weighted_graph, rng):
         nodes, _ = sample_rr_set_ic(tiny_weighted_graph, 3, rng)
@@ -348,9 +364,9 @@ class TestICSampler:
     def test_scratch_reuse_isolated_between_samples(self, cliques_graph, rng):
         """Sets sharing one batch keep separate visited rows: the same
         root twice may reach the same nodes in both sets."""
-        sets, _, _ = sample_rr_sets_ic_kernel(
+        sets = _sets(*sample_rr_sets_ic_kernel(
             cliques_graph, np.array([0, 5, 0]), rng
-        )
+        )[:2])
         assert [s[0] for s in sets] == [0, 5, 0]
         for nodes in sets:
             assert len(nodes) == len(set(nodes.tolist()))
@@ -397,9 +413,9 @@ class TestLTSampler:
     def test_in_neighbor_choice_proportional(self, rng):
         g = from_edge_list([(0, 2, 0.75), (1, 2, 0.25)])
         tables = LTAliasTables(g)
-        sets, _, _ = sample_rr_sets_lt_kernel(
+        sets = _sets(*sample_rr_sets_lt_kernel(
             g, np.full(4000, 2), rng, tables
-        )
+        )[:2])
         # In-weights sum to 1, so every walk takes one step from node 2.
         picks = [int(nodes[1]) for nodes in sets]
         assert np.mean([p == 0 for p in picks]) == pytest.approx(0.75, abs=0.03)

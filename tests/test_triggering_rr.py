@@ -27,10 +27,10 @@ def triggering_sampler(graph, triggering_sets, seed=None):
 
 
 def sample_rr_set_triggering(graph, root, rng, triggering_sets):
-    sets, edges, _ = sample_rr_sets_triggering_kernel(
+    nodes, _, edges, _ = sample_rr_sets_triggering_kernel(
         graph, np.array([root]), rng, triggering_sets
     )
-    return sets[0], edges
+    return nodes, edges
 
 
 class TestTriggeringSetSamplers:

@@ -14,8 +14,8 @@ from repro.sampling.kernel import RRSampler, sample_rr_sets_ic_kernel
 
 
 def sample_rr_set_ic_uniform(graph, root, rng):
-    sets, edges, _ = sample_rr_sets_ic_kernel(graph, np.array([root]), rng)
-    return sets[0], edges
+    nodes, _, edges, _ = sample_rr_sets_ic_kernel(graph, np.array([root]), rng)
+    return nodes, edges
 
 
 class TestDistribution:
