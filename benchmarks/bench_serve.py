@@ -14,7 +14,12 @@ sketch warms up:
 It also times a warm ascending ``k = 1..50`` sweep on the saved index
 and counts its greedy passes (``maxcover.greedy_runs``): every ``k``
 reads a prefix of one shared pass, whose width doubles on a miss, so
-the sweep runs 7 passes where per-``k`` passes would run 50.
+the sweep runs 7 passes where per-``k`` passes would run 50.  The
+sweep calls ``engine.checkpoint()`` after every answer, as a cluster
+worker does at a job boundary; each answer moves only its ``k``'s
+``delta / 2^i`` schedule, so every checkpoint appends to the session
+journal and none rewrites the manifest (``checkpoint.manifest_writes``
+is 0 where a manifest rewrite per answer would read 50).
 
 And it times the flat RR-set layout on the pokec-sim ×2.5 sketch
 (n = 8000): ``layout.append_build_ms`` appends one RR set to an
@@ -103,24 +108,38 @@ def _warm_query(graph, index_dir, cold_answer):
 
 
 def _warm_sweep(graph, index_dir):
-    """Ascending k-sweep on the loaded index: passes and seconds."""
+    """Ascending k-sweep on the loaded index, checkpointing after every
+    answer: passes and answer seconds, and the checkpoints' writes and
+    latency."""
     registry = MetricsRegistry()
+    answer_seconds = 0.0
+    checkpoint_seconds = []
     with SeedQueryEngine(
         graph, "IC", seed=SEED, index_dir=index_dir, registry=registry
     ) as engine:
         budget = engine.num_rr_sets
-        started = time.perf_counter()
         for k in SWEEP_KS:
+            started = time.perf_counter()
             answer = engine.answer(k, alpha_target=0.01, rr_budget=budget)
+            answered = time.perf_counter()
+            assert engine.checkpoint() is not None, "the schedule moved"
+            checkpoint_seconds.append(time.perf_counter() - answered)
+            answer_seconds += answered - started
             assert answer["sampled"] == 0, "the sweep must not sample"
-        seconds = time.perf_counter() - started
     counters = registry.counter_values()
-    return {
+    sweep = {
         "ks": f"{SWEEP_KS.start}..{SWEEP_KS.stop - 1}",
         "greedy_runs": counters["maxcover.greedy_runs"],
         "greedy_reuse": counters["maxcover.greedy_reuse"],
-        "seconds": round(seconds, 4),
+        "seconds": round(answer_seconds, 4),
     }
+    checkpoint = {
+        "manifest_writes": counters.get("serve.manifest_saves", 0),
+        "journal_appends": counters.get("serve.journal_appends", 0),
+        "p50_ms": _median_ms(checkpoint_seconds),
+        "samples": len(checkpoint_seconds),
+    }
+    return sweep, checkpoint
 
 
 def _median_ms(samples):
@@ -212,14 +231,18 @@ def bench_serve_cold_warm_cached(benchmark, graph, tmp_path_factory):
     def run():
         cold_seconds, cold_answer = _cold_query(graph, index_dir)
         warm_seconds = _warm_query(graph, index_dir, cold_answer)
-        sweep = _warm_sweep(graph, index_dir)
+        sweep, checkpoint = _warm_sweep(graph, index_dir)
         cached = asyncio.run(_cached_latencies(graph, index_dir))
         layout = _layout_timings()
-        return cold_seconds, warm_seconds, sweep, cached, cold_answer, layout
+        return (
+            cold_seconds, warm_seconds, sweep, checkpoint, cached,
+            cold_answer, layout,
+        )
 
-    cold_seconds, warm_seconds, sweep, cached, cold_answer, layout = run_once(
-        benchmark, run
-    )
+    (
+        cold_seconds, warm_seconds, sweep, checkpoint, cached, cold_answer,
+        layout,
+    ) = run_once(benchmark, run)
     cached_stats = _percentiles(cached)
     summary = {
         "dataset": graph.name,
@@ -235,6 +258,7 @@ def bench_serve_cold_warm_cached(benchmark, graph, tmp_path_factory):
         "cold": {"p50_ms": round(1e3 * cold_seconds, 3), "samples": 1},
         "warm_index": {"p50_ms": round(1e3 * warm_seconds, 3), "samples": 1},
         "sweep": sweep,
+        "checkpoint": checkpoint,
         "cached": cached_stats,
         "layout": layout,
     }

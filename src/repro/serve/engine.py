@@ -44,6 +44,7 @@ from repro.sampling.hop import DEFAULT_HOPS, HopEstimator
 from repro.sampling.kernel import RRSampler
 from repro.sampling.service import SamplingPool
 from repro.serve.index import (
+    append_sessions,
     graph_fingerprint,
     load_index,
     save_index,
@@ -57,6 +58,11 @@ DEFAULT_MAX_RR_SETS = 500_000
 
 #: RR sets added before the first retry of an unsatisfied query.
 DEFAULT_STEP = 2_000
+
+#: Session-journal size at which a schedule-only checkpoint folds the
+#: journal into a rewritten manifest, so replay stays bounded on an
+#: index that serves for long without growing.
+JOURNAL_FOLD_BYTES = 1 << 20
 
 
 class SeedQueryEngine:
@@ -154,6 +160,9 @@ class SeedQueryEngine:
         self._index_synced_rr_sets: Optional[int] = None
         self._index_synced_at: Optional[float] = None
         self._index_synced_sessions: Optional[Dict[str, Any]] = None
+        # The manifest as last written or loaded (schedule-only
+        # checkpoints return it with the current sessions).
+        self._manifest: Optional[Dict[str, Any]] = None
         self.index_dir = Path(index_dir) if index_dir is not None else None
         self.loaded_from_index = False
         if (
@@ -509,16 +518,28 @@ class SeedQueryEngine:
         rewriting an unchanged index.  A satisfied repeat query that
         sampled nothing still advanced its session's ``delta / 2^i``
         schedule, which is state the next warm start must see — but
-        since the RR arrays on disk are untouched, that case rewrites
-        only the manifest, keeping warm-path checkpoints cheap.
+        since the RR arrays on disk are untouched, that case appends
+        the moved ``k``-s to the index's session journal and returns
+        the manifest with the current sessions.  Once the journal
+        reaches :data:`JOURNAL_FOLD_BYTES` it is folded into a
+        rewritten manifest.
         """
         if self.index_dir is None:
             return None
         staleness = self.index_staleness()
-        if staleness["synced"] and staleness["stale_rr_sets"] == 0:
-            schedule = self._session_schedule_state()
-            if schedule == self._index_synced_sessions:
-                return None
+        if not (staleness["synced"] and staleness["stale_rr_sets"] == 0):
+            return self.save_index()
+        schedule = self._session_schedule_state()
+        synced = self._index_synced_sessions or {}
+        changed = {k: v for k, v in schedule.items() if synced.get(k) != v}
+        if not changed:
+            return None
+        assert self._manifest is not None  # set by every save and load
+        journal_bytes = append_sessions(self.index_dir, changed)
+        self.obs.count("serve.journal_appends")
+        if journal_bytes < JOURNAL_FOLD_BYTES:
+            manifest = {**self._manifest, "extra": {"sessions": schedule}}
+        else:
             manifest = save_manifest(
                 self.index_dir,
                 graph=self.graph,
@@ -528,12 +549,13 @@ class SeedQueryEngine:
                 theta2=len(self.r2),
                 sampler_state=self.sampler.state(),
                 seed=self.seed,
-                extra={"sessions": schedule} if schedule else None,
+                extra={"sessions": schedule},
+                offsets_crc32=self._manifest["offsets_crc32"],
             )
             self.obs.count("serve.manifest_saves")
-            self._mark_index_synced()
-            return manifest
-        return self.save_index()
+            self._manifest = manifest
+        self._mark_index_synced()
+        return manifest
 
     def index_staleness(self) -> Dict[str, Any]:
         """How far the in-memory sketch has drifted from the saved index.
@@ -580,6 +602,7 @@ class SeedQueryEngine:
             extra={"sessions": sessions} if sessions else None,
         )
         self.obs.count("serve.index_saves")
+        self._manifest = manifest
         self._mark_index_synced()
         return manifest
 
@@ -626,4 +649,5 @@ class SeedQueryEngine:
             session.online.adopt_collections(self.r1, self.r2, self._greedy)
         self.obs.count("serve.index_loads")
         self.obs.set_gauge("serve.index_rr_sets", self.num_rr_sets)
+        self._manifest = manifest
         self._mark_index_synced()

@@ -13,7 +13,10 @@ Tang et al. (arXiv:1404.0900) and the long-lived index of Peng
 On-disk layout (one directory per index)::
 
     manifest.json     graph hash + model + seed + sample counts +
-                      sampler stream state (format below)
+                      offsets checksums + sampler stream state +
+                      per-k schedule positions (format below)
+    sessions.journal  per-k schedule positions appended since the
+                      manifest was written (optional, see below)
     r1_nodes.npy      flattened member node ids of the R1 half
     r1_offsets.npy    CSR offsets into r1_nodes
     r2_nodes.npy      / r2_offsets.npy — same for the R2 half
@@ -24,12 +27,31 @@ wrapped as they are: the loaded
 of the mapped node arrays, so a load costs O(1) in the number of RR
 sets after a structural check of the offsets (1-D int32 nodes and
 int64 offsets, ``offsets[0] == 0``, no empty set, ``offsets[-1] ==
-nodes.size`` and the manifest's theta).  Node ids are range-checked by
-the collection's first ``build()``; every failure is a
-:class:`~repro.exceptions.GraphFormatError`.  :func:`save_index`
-writes each ``.npy`` to a temp file and ``os.replace``-s it, so saving
-into the directory a live index was loaded from never truncates a
-mapped file.
+nodes.size``, the manifest's theta and its CRC-32 of each offsets
+array).  Node ids are range-checked by the collection's first
+``build()``; every failure is a
+:class:`~repro.exceptions.GraphFormatError`.
+
+Every file is written to a temp file and ``os.replace``-d into place,
+the manifest last, so the manifest is the commit point.  Saving into
+the directory a live index was loaded from never truncates a mapped
+file, and a save cut short at any step leaves the old index or the new
+one.  The RR stream only grows, so halves already replaced by an
+unfinished save extend the ones the old manifest describes: a load
+reads the manifest's theta sets of each half, after checking them
+against the manifest's offsets checksum.
+
+A checkpoint that moves only the per-``k`` ``delta / 2^i`` schedule
+positions (no new RR sets) appends one record to ``sessions.journal``
+instead of rewriting the manifest (:func:`append_sessions`).  A record
+is one line: the CRC-32 of its JSON body as 8 hex digits, a space, the
+body ``{"<k>": {"queries_made": q, "opt_lower": x}, ...}`` holding the
+``k``-s that changed, and ``\n``.  :func:`load_index` replays the
+journal into ``manifest["extra"]["sessions"]``, keeping per ``k`` the
+entry with the larger ``queries_made`` (both fields only grow), so
+replay is idempotent and order-free; a torn or corrupt record fails the
+load.  :func:`save_manifest` folds the journal into the manifest it
+writes and removes it only after that manifest is in place.
 
 The manifest binds the sketch to its provenance: ``graph_hash`` (a
 SHA-256 over the CSR arrays), ``model``, ``seed``, the chunk policy /
@@ -53,9 +75,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import IO, Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -66,10 +89,14 @@ from repro.sampling.collection import RRCollection
 PathLike = Union[str, Path]
 
 #: Bumped on any incompatible change to the on-disk layout or stream
-#: (2: every sampler draws through the vectorized kernel).
-INDEX_FORMAT_VERSION = 2
+#: (2: every sampler draws through the vectorized kernel; 3: schedule
+#: positions may sit in ``sessions.journal``, which an older reader
+#: would ignore and so reuse spent ``delta / 2^i`` slices).
+INDEX_FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
+
+JOURNAL_NAME = "sessions.journal"
 
 _HALVES = ("r1", "r2")
 
@@ -110,17 +137,28 @@ def save_manifest(
     seed: int,
     extra: Optional[Dict[str, Any]] = None,
     graph_hash: Optional[str] = None,
+    *,
+    offsets_crc32: Dict[str, int],
 ) -> Dict[str, Any]:
     """Write only the manifest of an index; returns it.
 
     For callers whose ``.npy`` halves on disk already match
-    ``theta1``/``theta2`` and only manifest-borne state moved — e.g. a
-    satisfied repeat query advanced a session's ``delta / 2^i``
-    schedule position without sampling a single RR set.  Rewriting the
-    manifest alone keeps such checkpoints cheap on the serving path.
+    ``theta1``/``theta2`` (``offsets_crc32`` maps ``"r1"``/``"r2"`` to
+    the CRC-32 of each half's offsets array, as the last
+    :func:`save_index` wrote it).  The session journal is folded into
+    ``extra["sessions"]`` and removed once the manifest is in place; a
+    journal that does not replay is dropped, since a writer's own
+    schedule already covers every record it appended.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    sessions = dict((extra or {}).get("sessions") or {})
+    try:
+        _replay_journal(directory, sessions)
+    except GraphFormatError:
+        pass
+    if sessions:
+        extra = {**(extra or {}), "sessions": sessions}
     manifest: Dict[str, Any] = {
         "version": INDEX_FORMAT_VERSION,
         "graph_hash": graph_hash or graph_fingerprint(graph),
@@ -131,25 +169,31 @@ def save_manifest(
         "seed": int(seed),
         "theta1": int(theta1),
         "theta2": int(theta2),
+        "offsets_crc32": {name: int(offsets_crc32[name]) for name in _HALVES},
         "sampler_state": sampler_state,
     }
     if extra:
         manifest["extra"] = extra
-    path = directory / MANIFEST_NAME
     # Compact JSON: without indent, json.dumps runs its C encoder.
-    path.write_text(json.dumps(manifest) + "\n", encoding="utf-8")
+    data = (json.dumps(manifest) + "\n").encode("utf-8")
+    _replace_file(directory / MANIFEST_NAME, lambda handle: handle.write(data))
+    try:
+        os.unlink(directory / JOURNAL_NAME)
+    except FileNotFoundError:
+        pass
     return manifest
 
 
-def _replace_npy(path: Path, array: np.ndarray) -> None:
-    """Write *array* to *path* through a temp file and ``os.replace``.
+def _replace_file(path: Path, write: Callable[[IO[bytes]], object]) -> None:
+    """Write *path* through a temp file and ``os.replace``.
 
     A live memory map of the old file (a loaded index wraps one) keeps
-    reading the old inode instead of a file truncated under it.
+    reading the old inode instead of a file truncated under it, and a
+    write cut short leaves the old file whole.
     """
     temp = path.with_name(path.name + ".tmp")
     with open(temp, "wb") as handle:
-        np.save(handle, array)
+        write(handle)
     os.replace(temp, path)
 
 
@@ -169,16 +213,22 @@ def save_index(
     ``sampler_state`` is the stream-continuation state — either
     ``SamplingPool.state()`` (``kind: "pool"``) or ``RRSampler.state()``
     (``kind: "serial-kernel"``) — so a loaded index can keep extending
-    the exact same deterministic RR stream.
+    the exact same deterministic RR stream.  The manifest goes last
+    (:func:`save_manifest`), which also compacts the session journal.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     counts = {}
+    checksums = {}
     for name, collection in zip(_HALVES, (r1, r2)):
         nodes, offsets = collection.flat()
-        _replace_npy(directory / f"{name}_nodes.npy", nodes)
-        _replace_npy(directory / f"{name}_offsets.npy", offsets)
+        for suffix, array in (("nodes", nodes), ("offsets", offsets)):
+            _replace_file(
+                directory / f"{name}_{suffix}.npy",
+                lambda handle, array=array: np.save(handle, array),
+            )
         counts[name] = len(collection)
+        checksums[name] = zlib.crc32(offsets.data)
     return save_manifest(
         directory,
         graph=graph,
@@ -189,7 +239,66 @@ def save_index(
         seed=seed,
         extra=extra,
         graph_hash=graph_hash,
+        offsets_crc32=checksums,
     )
+
+
+def append_sessions(
+    directory: PathLike, changed: Dict[str, Dict[str, Any]]
+) -> int:
+    """Append one schedule record to the index's session journal.
+
+    *changed* maps ``str(k)`` to ``{"queries_made", "opt_lower"}`` for
+    the ``k``-s whose schedule moved since the index was last written.
+    One ``O_APPEND`` open, write and close, with no fsync and no file
+    descriptor kept open.  Returns the journal's size after the append.
+    """
+    body = json.dumps(changed, separators=(",", ":")).encode("utf-8")
+    record = memoryview(b"%08x %s\n" % (zlib.crc32(body), body))
+    fd = os.open(
+        Path(directory) / JOURNAL_NAME,
+        os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+        0o644,
+    )
+    try:
+        while record:
+            record = record[os.write(fd, record):]
+        return os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
+
+
+def _replay_journal(directory: Path, sessions: Dict[str, Any]) -> None:
+    """Merge the session journal's records into *sessions* in place.
+
+    Per ``k`` the entry with the larger ``queries_made`` wins.  A
+    record whose checksum does not match, or a last record without its
+    newline (a torn append), raises :class:`GraphFormatError`.
+    """
+    try:
+        data = (directory / JOURNAL_NAME).read_bytes()
+    except FileNotFoundError:
+        return
+    records = data.split(b"\n")
+    if records.pop():
+        raise _rebuild(directory, f"{JOURNAL_NAME} ends in a torn record")
+    for number, record in enumerate(records, start=1):
+        checksum, _, body = record.partition(b" ")
+        try:
+            if checksum != b"%08x" % zlib.crc32(body):
+                raise ValueError("checksum mismatch")
+            for k, entry in json.loads(body).items():
+                key, queries = str(int(k)), int(entry["queries_made"])
+                known = sessions.get(key)
+                if known is None or queries > int(known["queries_made"]):
+                    sessions[key] = {
+                        "queries_made": queries,
+                        "opt_lower": float(entry["opt_lower"]),
+                    }
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise _rebuild(
+                directory, f"{JOURNAL_NAME} record {number} is corrupt: {exc}"
+            )
 
 
 def _rebuild(directory: Path, reason: str) -> GraphFormatError:
@@ -208,7 +317,9 @@ def load_index(
 
     *graph* must hash to the manifest's ``graph_hash``; with ``mmap``
     (the default) the node arrays are memory-mapped read-only and the
-    collections hold zero-copy views into them.
+    collections hold zero-copy views into them.  The returned
+    manifest's ``extra["sessions"]`` includes the replayed session
+    journal.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -240,6 +351,10 @@ def load_index(
             f"graph hashes to {fingerprint[:12]}... — serving from a "
             "mismatched sketch would void the guarantee"
         )
+    sessions = dict(manifest.get("extra", {}).get("sessions", {}))
+    _replay_journal(directory, sessions)
+    if sessions:
+        manifest.setdefault("extra", {})["sessions"] = sessions
     halves = {}
     mmap_mode = "r" if mmap else None
     for name in _HALVES:
@@ -253,6 +368,7 @@ def load_index(
         halves[name] = _wrap_half(
             directory, name, graph.n, nodes, offsets,
             int(manifest[f"theta{name[1]}"]),
+            int(manifest["offsets_crc32"][name]),
         )
     return LoadedIndex(r1=halves["r1"], r2=halves["r2"], manifest=manifest)
 
@@ -264,12 +380,16 @@ def _wrap_half(
     nodes: np.ndarray,
     offsets: np.ndarray,
     expected: int,
+    checksum: int,
 ) -> RRCollection:
-    """Check one half's arrays structurally and wrap them in O(1).
+    """Check one half's first *expected* sets and wrap them in O(1).
 
-    ``np.asarray`` drops the ``np.memmap`` subclass, so later numpy
-    calls on the views skip its hooks; node ids are range-checked by
-    the collection's first ``build()``.
+    Files holding more sets come from a save cut short after this half
+    was replaced: the stream only grows, so its first *expected* sets
+    are the ones the manifest committed, as the offsets checksum
+    confirms.  ``np.asarray`` drops the ``np.memmap`` subclass, so
+    later numpy calls on the views skip its hooks; node ids are
+    range-checked by the collection's first ``build()``.
     """
     nodes = np.asarray(nodes)
     offsets = np.asarray(offsets)
@@ -284,12 +404,21 @@ def _wrap_half(
             f"int64 offsets, got {nodes.dtype}{list(nodes.shape)} and "
             f"{offsets.dtype}{list(offsets.shape)}"
         )
-    if offsets.shape[0] - 1 != expected:
+    if offsets.shape[0] - 1 < expected:
         raise GraphFormatError(
             f"{directory}: manifest promises {expected} RR sets in "
             f"{name}, files contain {offsets.shape[0] - 1}"
         )
+    offsets = offsets[: expected + 1]
+    if offsets[-1] < nodes.shape[0]:
+        nodes = nodes[: offsets[-1]]
     try:
-        return RRCollection.from_flat(n, nodes, offsets)
+        collection = RRCollection.from_flat(n, nodes, offsets)
     except ParameterError as exc:
         raise GraphFormatError(f"{directory}: corrupt {name} half: {exc}")
+    if zlib.crc32(offsets.data) != checksum:
+        raise GraphFormatError(
+            f"{directory}: the {name} offsets do not match the manifest's "
+            "checksum"
+        )
+    return collection

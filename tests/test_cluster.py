@@ -771,6 +771,64 @@ class TestFailureModes:
 
         run(scenario())
 
+    def test_crash_after_journal_only_checkpoints_requeues_bitwise(
+        self, tmp_path
+    ):
+        """Repeat jobs that sample nothing checkpoint through the session
+        journal alone; a crash after them must still requeue into an
+        answer bitwise-equal to an uninterrupted engine's."""
+        from repro.serve import SeedQueryEngine
+
+        graph = make_graph()
+        jobs = [(2, 4000), (2, 4000), (3, 4000), (2, 4000), (3, 4000)]
+        with SeedQueryEngine(graph, "IC", seed=7, step=400, delta=0.2) as ref:
+            expected = [
+                ref.answer(k, epsilon=0.3, rr_budget=budget)
+                for k, budget in jobs
+            ]
+        assert all(answer["sampled"] == 0 for answer in expected[1:-1])
+
+        async def scenario():
+            front = await _started_frontend(
+                state_dir=tmp_path, fault_injection=True
+            )
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(
+                    graph, "g", tenant="t", seed=7, step=400, delta=0.2
+                )
+                replies = []
+                for k, budget in jobs[:-1]:
+                    status, _, body = await _submit_and_wait(
+                        client, "g", headers, k=k, rr_budget=budget
+                    )
+                    assert status == 200, body
+                    replies.append(body)
+                # The repeats' checkpoints left the manifest alone.
+                assert list(tmp_path.rglob("sessions.journal"))
+                k, budget = jobs[-1]
+                status, _, body = await _submit_and_wait(
+                    client, "g", headers, k=k, rr_budget=budget,
+                    inject_crash=True,
+                )
+                assert status == 200, body
+                replies.append(body)
+                return replies
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        replies = run(scenario())
+        assert replies[-1]["requeues"] == 1
+        assert replies[-1]["engine"]["loaded_from_index"]
+        for reply, want in zip(replies, expected):
+            for key in (
+                "seeds", "alpha", "num_rr_sets", "sigma_low", "sigma_up",
+                "theta_cap", "queries_made",
+            ):
+                assert reply["response"][key] == want[key], key
+
     def test_drain_checkpoints_and_new_frontend_serves_warm(self, tmp_path):
         recorder = TraceRecorder()
         registry = MetricsRegistry(sink=recorder)

@@ -1346,3 +1346,342 @@ class TestSharedGreedySweep:
             )
             reuse = reg.counter_values()["maxcover.greedy_reuse"]
             assert reuse == 20 + 47 + 49
+
+
+# ----------------------------------------------------------------------
+# Session journal: checkpoints that move only the delta/2^i schedule
+# ----------------------------------------------------------------------
+_SCHEDULE_KEYS = (
+    "seeds", "alpha", "sigma_low", "sigma_up", "theta_cap", "queries_made",
+)
+
+
+class _Crash(Exception):
+    """Raised by a failpoint in place of a process dying mid-write."""
+
+
+def _fail_when(monkeypatch, owner, name, when):
+    """Make ``owner.name`` raise :class:`_Crash` on calls matching *when*."""
+    original = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        if when(*args):
+            raise _Crash(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+def _named(name):
+    """Failpoint predicate: the call's target path (the destination of
+    ``os.replace``, the one path of ``os.unlink``) is named *name*."""
+    from pathlib import Path
+
+    return lambda *paths: Path(paths[-1]).name == name
+
+
+def _torn_manifest_write(monkeypatch):
+    """The manifest temp file gets half its bytes, then the write dies."""
+    import builtins
+    from pathlib import Path
+
+    import repro.serve.index as index_module
+
+    class Torn:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+            return False
+
+        def write(self, data):
+            self.handle.write(data[: len(data) // 2])
+            raise _Crash("manifest tmp write")
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        handle = builtins.open(path, mode, *args, **kwargs)
+        if Path(path).name == "manifest.json.tmp":
+            return Torn(handle)
+        return handle
+
+    monkeypatch.setattr(index_module, "open", torn_open, raising=False)
+
+
+def _journal_engine(graph, directory, model="IC", registry=None):
+    return SeedQueryEngine(
+        graph, model, seed=7, step=400, delta=0.2, index_dir=directory,
+        registry=registry,
+    )
+
+
+def _sketch_answer(engine, k):
+    """An answer that cannot sample: the budget is the current sketch."""
+    answer = engine.answer(k, epsilon=0.3, rr_budget=engine.num_rr_sets)
+    assert answer["sampled"] == 0
+    return answer
+
+
+def _index_state(directory, graph):
+    """Everything a warm start reads: counts, sessions and the halves."""
+    loaded = load_index(directory, graph)
+    manifest = loaded.manifest
+    halves = tuple(
+        array.tobytes()
+        for half in (loaded.r1, loaded.r2)
+        for array in half.flat()
+    )
+    return (
+        manifest["theta1"],
+        manifest["theta2"],
+        manifest.get("extra", {}).get("sessions", {}),
+        halves,
+    )
+
+
+class TestSessionJournal:
+    @pytest.mark.parametrize("model", ["IC", "LT"])
+    def test_sketch_answers_append_and_leave_the_manifest_alone(
+        self, medium_graph, tmp_path, model
+    ):
+        registry = MetricsRegistry()
+        repeats = 12
+        manifest_path = tmp_path / "manifest.json"
+        with _journal_engine(medium_graph, tmp_path, model, registry) as eng:
+            eng.answer(4, epsilon=0.3, rr_budget=6000)
+            assert eng.checkpoint() is not None  # the full save
+            before = manifest_path.read_bytes()
+            stat = manifest_path.stat()
+            saves = registry.counter("serve.manifest_saves").value
+            for i in range(repeats):
+                _sketch_answer(eng, (4, 6, 2)[i % 3])
+                manifest = eng.checkpoint()
+                assert manifest is not None
+                assert manifest["extra"]["sessions"] == (
+                    eng._session_schedule_state()
+                )
+            assert manifest_path.read_bytes() == before
+            after = manifest_path.stat()
+            assert (after.st_mtime_ns, after.st_ino) == (
+                stat.st_mtime_ns, stat.st_ino,
+            )
+            assert registry.counter("serve.manifest_saves").value == saves
+            assert registry.counter("serve.journal_appends").value == repeats
+            assert eng.checkpoint() is None  # nothing moved since
+        records = (tmp_path / "sessions.journal").read_bytes().splitlines()
+        assert len(records) == repeats
+
+    @pytest.mark.parametrize("model", ["IC", "LT"])
+    def test_warm_restart_matches_the_uninterrupted_engine(
+        self, medium_graph, tmp_path, model
+    ):
+        script = [(4, 6000), (4, 6000), (6, 6000), (4, 6000), (6, 6000)]
+        with SeedQueryEngine(
+            medium_graph, model, seed=7, step=400, delta=0.2
+        ) as ref:
+            for k, budget in script:
+                ref.answer(k, epsilon=0.3, rr_budget=budget)
+            expected = [
+                ref.answer(k, epsilon=0.3, rr_budget=6000) for k in (4, 6)
+            ]
+        with _journal_engine(medium_graph, tmp_path, model) as eng:
+            for k, budget in script:
+                eng.answer(k, epsilon=0.3, rr_budget=budget)
+                eng.checkpoint()
+        assert (tmp_path / "sessions.journal").exists()
+        with _journal_engine(medium_graph, tmp_path, model) as warm:
+            assert warm.loaded_from_index
+            got = [
+                warm.answer(k, epsilon=0.3, rr_budget=6000) for k in (4, 6)
+            ]
+        for answer, want in zip(got, expected):
+            for key in _SCHEDULE_KEYS:
+                assert answer[key] == want[key], key
+
+    @pytest.fixture
+    def journaled(self, medium_graph, tmp_path):
+        """An index whose last three checkpoints went to the journal."""
+        with _journal_engine(medium_graph, tmp_path) as eng:
+            eng.answer(4, epsilon=0.3, rr_budget=6000)
+            eng.checkpoint()
+            for k in (4, 6, 4):
+                _sketch_answer(eng, k)
+                eng.checkpoint()
+        return tmp_path
+
+    @pytest.mark.parametrize("cut", [1, 5, 30])
+    def test_torn_last_record_fails_the_load(
+        self, medium_graph, journaled, cut
+    ):
+        path = journaled / "sessions.journal"
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(GraphFormatError, match="torn"):
+            load_index(journaled, medium_graph)
+        with pytest.raises(GraphFormatError, match="torn"):
+            _journal_engine(medium_graph, journaled)
+
+    def test_any_flipped_byte_fails_the_load(self, medium_graph, journaled):
+        path = journaled / "sessions.journal"
+        data = path.read_bytes()
+        assert data.count(b"\n") == 3
+        for position in range(len(data)):
+            flipped = bytearray(data)
+            flipped[position] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(GraphFormatError, match="sessions.journal"):
+                load_index(journaled, medium_graph)
+
+    def test_stale_journal_beside_a_newer_manifest_loads_the_newer_state(
+        self, medium_graph, journaled
+    ):
+        """A crash between the manifest's replace and the journal's
+        unlink: replay keeps the larger ``queries_made`` per k."""
+        stale = (journaled / "sessions.journal").read_bytes()
+        with _journal_engine(medium_graph, journaled) as eng:
+            for k in (4, 6, 2):
+                _sketch_answer(eng, k)
+            manifest = eng.save_index()
+        assert not (journaled / "sessions.journal").exists()
+        (journaled / "sessions.journal").write_bytes(stale)
+        loaded = load_index(journaled, medium_graph)
+        assert loaded.manifest["extra"]["sessions"] == (
+            manifest["extra"]["sessions"]
+        )
+        assert manifest["extra"]["sessions"]["4"]["queries_made"] == 4
+
+    def test_crossing_the_fold_size_rewrites_the_manifest(
+        self, medium_graph, tmp_path, monkeypatch
+    ):
+        import repro.serve.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "JOURNAL_FOLD_BYTES", 150)
+        registry = MetricsRegistry()
+        journal = tmp_path / "sessions.journal"
+        with _journal_engine(medium_graph, tmp_path, registry=registry) as eng:
+            eng.answer(4, epsilon=0.3, rr_budget=6000)
+            eng.checkpoint()
+            folds = 0
+            for k in (4, 6, 4, 6, 4, 6):
+                _sketch_answer(eng, k)
+                eng.checkpoint()
+                if not journal.exists():
+                    folds += 1
+                    manifest = json.loads(
+                        (tmp_path / "manifest.json").read_text()
+                    )
+                    assert manifest["extra"]["sessions"] == (
+                        eng._session_schedule_state()
+                    )
+            assert folds >= 1
+            assert registry.counter("serve.manifest_saves").value == folds
+            assert registry.counter("serve.journal_appends").value == 6
+            schedule = eng._session_schedule_state()
+        assert (
+            load_index(tmp_path, medium_graph).manifest["extra"]["sessions"]
+            == schedule
+        )
+
+    def test_save_drops_an_unreadable_journal(self, medium_graph, journaled):
+        """The writer's own schedule covers what it journaled, so a save
+        replaces a journal that no longer replays."""
+        path = journaled / "sessions.journal"
+        path.write_bytes(path.read_bytes()[:-1])
+        with SeedQueryEngine(
+            medium_graph, "IC", seed=7, step=400, delta=0.2
+        ) as eng:
+            eng.answer(3, epsilon=0.3, rr_budget=6000)
+            manifest = eng.save_index(journaled)
+        assert not path.exists()
+        assert manifest["extra"]["sessions"].keys() == {"3"}
+        assert load_index(journaled, medium_graph).manifest == manifest
+
+    def test_longer_halves_of_another_stream_fail_the_checksum(
+        self, medium_graph, tmp_path
+    ):
+        """A load reads a longer half's first theta sets only when they
+        are the sets the manifest committed."""
+        for seed, count in ((7, 600), (8, 800)):
+            with SeedQueryEngine(medium_graph, "IC", seed=seed) as eng:
+                eng.extend(count)
+                eng.save_index(tmp_path / str(seed))
+        for suffix in ("nodes", "offsets"):
+            name = f"r1_{suffix}.npy"
+            (tmp_path / "7" / name).write_bytes(
+                (tmp_path / "8" / name).read_bytes()
+            )
+        with pytest.raises(GraphFormatError, match="r1 offsets do not match"):
+            load_index(tmp_path / "7", medium_graph)
+
+    @staticmethod
+    def _grow(engine):
+        engine.extend(400)
+        _sketch_answer(engine, 4)
+        return engine.checkpoint()  # a full save, which compacts
+
+    @staticmethod
+    def _append(engine):
+        _sketch_answer(engine, 6)
+        return engine.checkpoint()
+
+    @pytest.mark.parametrize(
+        "step, failpoint",
+        [
+            ("grow", "r1_nodes.npy"),
+            ("grow", "r1_offsets.npy"),
+            ("grow", "r2_nodes.npy"),
+            ("grow", "r2_offsets.npy"),
+            ("grow", "manifest tmp write"),
+            ("grow", "manifest.json"),
+            ("grow", "unlink"),
+            ("fold", "manifest tmp write"),
+            ("fold", "manifest.json"),
+            ("fold", "unlink"),
+            ("append", "open"),
+        ],
+    )
+    def test_a_save_cut_short_loads_the_old_or_the_new_state(
+        self, medium_graph, tmp_path, monkeypatch, step, failpoint
+    ):
+        import repro.serve.engine as engine_module
+
+        if step == "fold":
+            monkeypatch.setattr(engine_module, "JOURNAL_FOLD_BYTES", 1)
+        final = self._grow if step == "grow" else self._append
+        engines = {}
+        for name in ("crashed", "reference"):
+            directory = tmp_path / name
+            engine = _journal_engine(medium_graph, directory)
+            engine.answer(4, epsilon=0.3, rr_budget=6000)
+            engine.checkpoint()
+            for k in (4, 2):
+                _sketch_answer(engine, k)
+                engine.checkpoint()
+            engines[name] = engine
+        old = _index_state(tmp_path / "crashed", medium_graph)
+        final(engines["reference"])
+        new = _index_state(tmp_path / "reference", medium_graph)
+        assert new != old
+        crashed = engines["crashed"]
+        with monkeypatch.context() as patch:
+            if failpoint == "manifest tmp write":
+                _torn_manifest_write(patch)
+            elif failpoint == "unlink":
+                _fail_when(patch, os, "unlink", _named("sessions.journal"))
+            elif failpoint == "open":
+                _fail_when(
+                    patch, os, "open",
+                    lambda path, *rest: path.name == "sessions.journal",
+                )
+            else:
+                _fail_when(patch, os, "replace", _named(failpoint))
+            with pytest.raises(_Crash):
+                final(crashed)
+        assert _index_state(tmp_path / "crashed", medium_graph) in (old, new)
+        # The engine still holds the new state and persists it next time.
+        assert crashed.checkpoint() is not None
+        assert _index_state(tmp_path / "crashed", medium_graph) == new
+        for engine in engines.values():
+            engine.close()
