@@ -20,12 +20,19 @@ per-node ``build_alias_arrays`` loop it replaced, the median of
 :data:`TABLE_REPEATS` builds each.  ``BENCH_baseline.json`` gates
 ``lt.tables_speedup_vs_reference``, which falls to about 1 if the
 tables go back to a per-node loop.
+
+Memory is gated too: ``ic.fill_peak_bytes`` and ``lt.fill_peak_bytes``
+are the ``tracemalloc`` peak of building a sampler and filling
+:data:`COUNT` sets, which holds the batch's bit-packed visited matrix
+(at most 2 MiB) and the sampler's tables.  A dense visited matrix at
+today's batch width would read about 8x the matrix.
 """
 
 from __future__ import annotations
 
 import json
 import statistics
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +53,8 @@ SEED = 2018
 MIN_SPEEDUP_VS_PYTHON = 5.0
 #: Timed builds of each kind of LT alias tables.
 TABLE_REPEATS = 9
+#: Timed fills behind each RR-sets-per-second figure.
+RATE_REPEATS = 5
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +63,28 @@ def graph():
 
 
 def _kernel_rate(graph, model, kernel):
-    sampler = RRSampler(graph, model, seed=SEED, kernel=kernel)
-    timer = Timer()
-    with timer:
+    """RR sets per second: the median of RATE_REPEATS fills of COUNT
+    sets, each on a fresh sampler with the same seed (the same work),
+    so one cold first call or one noisy slice does not set the figure."""
+    times = []
+    for _ in range(RATE_REPEATS):
+        sampler = RRSampler(graph, model, seed=SEED, kernel=kernel)
+        timer = Timer()
+        with timer:
+            sampler.fill(sampler.new_collection(), COUNT)
+        times.append(timer.elapsed)
+    return COUNT / statistics.median(times)
+
+
+def _fill_peak_bytes(graph, model):
+    """``tracemalloc`` peak of a fresh sampler drawing COUNT sets."""
+    tracemalloc.start()
+    try:
+        sampler = RRSampler(graph, model, seed=SEED)
         sampler.fill(sampler.new_collection(), COUNT)
-    return COUNT / timer.elapsed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _per_node_tables(graph):
@@ -95,9 +121,10 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
             "segmented": _median_seconds(LTAliasTables, graph),
             "reference": _median_seconds(_per_node_tables, graph),
         }
-        return rates, tables
+        peaks = {model: _fill_peak_bytes(graph, model) for model in ("IC", "LT")}
+        return rates, tables, peaks
 
-    rates, tables = run_once(benchmark, run)
+    rates, tables, peaks = run_once(benchmark, run)
     ic, lt = rates["IC"], rates["LT"]
     summary = {
         "dataset": graph.name,
@@ -107,10 +134,12 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
         "ic": {
             "python_kernel_rr_sets_per_second": round(ic["python"], 1),
             "vectorized_rr_sets_per_second": round(ic["vectorized"], 1),
+            "fill_peak_bytes": peaks["IC"],
         },
         "lt": {
             "python_kernel_rr_sets_per_second": round(lt["python"], 1),
             "vectorized_rr_sets_per_second": round(lt["vectorized"], 1),
+            "fill_peak_bytes": peaks["LT"],
             "tables_build_seconds": round(tables["segmented"], 5),
             "tables_reference_seconds": round(tables["reference"], 5),
             "tables_speedup_vs_reference": round(

@@ -114,13 +114,29 @@ class HopEstimator:
         seed_array = self._validate_seeds(seeds)
         reach = np.zeros(graph.n, dtype=np.float64)
         reach[seed_array] = 1.0
-        owner = self._edge_owner
-        targets = graph.out_targets.astype(np.int64)
+        offsets = graph.out_offsets
         for _ in range(hops):
-            # log(1 - p(u,v) * r(u)) accumulated per target v.
-            factor = np.clip(graph.out_probs * reach[owner], 0.0, 1.0 - 1e-15)
-            log_miss = np.zeros(graph.n, dtype=np.float64)
-            np.add.at(log_miss, targets, np.log1p(-factor))
+            # log(1 - p(u,v) * r(u)) summed per target v, over the
+            # out-edges of reached nodes only: an edge whose source has
+            # reach 0 adds log1p(-0) = -0.0, which changes no sum.  The
+            # edges keep CSR order, so each sum adds the same terms in the
+            # same order as a pass over every edge.
+            sources = np.flatnonzero(reach)
+            starts = offsets[sources]
+            degrees = offsets[sources + 1] - starts
+            reached = int(degrees.sum())
+            edges = np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
+            edges += np.arange(reached, dtype=np.int64)
+            # In place: one float array per reached edge.
+            factor = np.repeat(reach[sources], degrees)
+            factor *= graph.out_probs[edges]
+            np.clip(factor, 0.0, 1.0 - 1e-15, out=factor)
+            np.negative(factor, out=factor)
+            log_miss = np.bincount(
+                graph.out_targets[edges],
+                weights=np.log1p(factor, out=factor),
+                minlength=graph.n,
+            )
             new_reach = np.maximum(reach, 1.0 - np.exp(log_miss))
             new_reach[seed_array] = 1.0
             if np.allclose(new_reach, reach, rtol=0.0, atol=1e-12):

@@ -16,11 +16,12 @@ implementations:
     gather/scatter over the CSR in-adjacency.  Bitwise-identical to
     ``"python"``.
 
-The RNG contract (per sampler, seeded once)
--------------------------------------------
+The RNG contract, version 2 (per sampler, seeded once)
+------------------------------------------------------
 1. Batching: a sampler draws RR sets in batches of at most
-   :func:`batch_cap` ``(n) = max(1, 2 MiB // n)`` sets, so a batch's
-   dense ``(batch, n)`` visited matrix stays within 2 MiB.
+   :func:`batch_cap` ``(n) = max(1, 2 MiB // ((n + 7) // 8))`` sets,
+   so a batch's bit-packed ``(batch, n)`` visited matrix stays within
+   2 MiB for every model.
    ``fill(count)`` first hands out sets buffered by ``sample_one``,
    then draws consecutive batches of ``min(cap, remaining)`` sets and
    appends them in stream order; ``sample_one()`` draws batches of
@@ -30,10 +31,25 @@ The RNG contract (per sampler, seeded once)
    seed and size.  The roots of a batch of ``b`` sets are drawn with
    **one** call, ``rng.integers(0, n, size=b)`` (or one weighted draw,
    see :meth:`RRSampler._draw_roots`).
-2. IC: each frontier level gathers the in-edges of every active
-   frontier node — sets in ascending set order, each set's frontier in
-   ascending node order, edges in CSR order — and draws **one** coin
-   array ``rng.random(total_edges)`` for the whole level.
+2. IC, by skip and thin (the subset sampling of SUBSIM, Guo et al.,
+   SIGMOD 2020).  Each frontier level runs its entries in (set
+   ascending, node ascending) order; ``p_max(u)`` is the largest
+   in-probability of node ``u`` (:class:`ICSkipTables`), and a node
+   with ``p_max(u) = 0`` draws nothing.  The level then runs rounds
+   over its *active* entries until none is left.  Each round draws
+   **one** ``rng.random((active, 4))``: four geometric gaps per entry,
+   ``floor(log1p(-U) / log1p(-p_max(u))) + 1`` (1 when
+   ``p_max(u) = 1``).  An entry's candidates sit at
+   ``pos + cumsum(gaps)`` inside ``u``'s CSR in-edge range (``pos``
+   starts one before the range); the entry stays active, at its 4th
+   candidate, while that candidate is inside the range.  The round
+   then draws **one** ``rng.random(c)`` for the ``c`` in-range
+   candidates with ``p_e < p_max(u)``, in (entry, position) order, and
+   keeps such a candidate iff ``coin < p_e / p_max(u)``; when every
+   candidate has ``p_e = p_max(u)`` (every node of a WC-weighted
+   graph) it draws nothing.  Each in-edge is thus live with
+   probability ``p_e``, independently, and a level costs about one
+   coin per live edge instead of one per in-edge.
 3. LT: each walk step draws three arrays from the generator: continue
    coins for all active walks, then column coins and alias accept
    coins for the surviving walks (walks stay in set order).
@@ -46,14 +62,17 @@ Both kernels consume the generator in exactly this order, which is
 what makes them interchangeable *per (chunk, set-index)*: every chunk
 of a :class:`~repro.sampling.service.SamplingPool` — and therefore
 every manifest, warm-index restart, and crash-requeued stream —
-reproduces bitwise.  ``edges_examined`` (the gamma cost measure of
-Borgs et al.'s online analysis) is likewise identical across kernels:
+reproduces bitwise.  Version 1 (one coin per IC in-edge, batches of
+``2 MiB // n`` sets) drew a different stream; the sketch index format
+changed with it.  ``edges_examined`` (the gamma cost measure of Borgs
+et al.'s online analysis) is identical across kernels and versions:
 IC charges each expanded node its in-degree, LT charges one edge per
 surviving walk step, and triggering charges the in-degree worst case.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
@@ -75,6 +94,7 @@ __all__ = [
     "BATCH_BYTES",
     "SAMPLE_ONE_BATCH",
     "batch_cap",
+    "ICSkipTables",
     "resolve_kernel",
     "sample_rr_sets_kernel",
     "sample_rr_sets_ic_kernel",
@@ -91,7 +111,7 @@ KERNELS = ("python", "vectorized")
 #: ``"vectorized"``.
 AUTO_KERNEL = "auto"
 
-#: Byte budget of one batch's dense ``(batch, n)`` visited matrix
+#: Byte budget of one batch's bit-packed ``(batch, n)`` visited matrix
 #: (RNG-contract item 1).
 BATCH_BYTES = 2 * 1024 * 1024
 
@@ -101,7 +121,7 @@ SAMPLE_ONE_BATCH = 256
 
 def batch_cap(n: int) -> int:
     """Most RR sets one kernel call draws on an *n*-node graph."""
-    return max(1, BATCH_BYTES // n)
+    return max(1, BATCH_BYTES // ((n + 7) // 8))
 
 
 def resolve_kernel(kernel: str = AUTO_KERNEL) -> str:
@@ -165,20 +185,119 @@ def _flatten(rr_sets: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, offsets
 
 
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """``np.unique(codes)`` by an in-place sort and a neighbour mask,
+    which beats numpy's hash-based integer path on a level's few
+    thousand codes."""
+    codes.sort()
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return codes[first]
+
+
+#: ``1 << b`` for each bit ``b`` of a byte.
+_BIT_MASKS = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
+
+
+class _Visited:
+    """A batch's bit-packed ``(batch, n)`` visited matrix, kept flat:
+    row ``s`` is ``(n + 7) // 8`` bytes (RNG-contract item 1)."""
+
+    __slots__ = ("bits", "width")
+
+    def __init__(self, batch: int, n: int) -> None:
+        self.width = (n + 7) >> 3
+        self.bits = np.zeros(batch * self.width, dtype=np.uint8)
+
+    def _slots(
+        self, sets: np.ndarray, nodes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        return sets * self.width + (nodes >> 3), _BIT_MASKS[nodes & 7]
+
+    def unvisited(self, sets: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        at, masks = self._slots(sets, nodes)
+        return (self.bits[at] & masks) == 0
+
+    def mark(self, sets: np.ndarray, nodes: np.ndarray) -> None:
+        """Mark (set, node) pairs; pairs sharing a byte all land."""
+        np.bitwise_or.at(self.bits, *self._slots(sets, nodes))
+
+
 # ----------------------------------------------------------------------
 # IC kernels
 # ----------------------------------------------------------------------
+#: Geometric gaps per active frontier entry per skip round (item 2).
+SKIP_DRAWS = 4
+
+#: ``j + 1`` for the j-th gap of a round (see :func:`_ic_live_edges`).
+_DRAW_STEPS = np.arange(1, SKIP_DRAWS + 1, dtype=np.int64)
+
+#: Ceiling on one gap before it is cast to an integer: any value past
+#: every in-edge range ends the entry, and four of them still add up
+#: inside int64.
+_GAP_CEILING = float(1 << 53)
+
+
+class ICSkipTables:
+    """Per-graph tables of IC skip-and-thin sampling (RNG-contract item 2).
+
+    For node ``u`` with in-edges ``[lo, hi)`` of the in-CSR arrays:
+
+    * ``live[u]`` is ``p_max(u) > 0``, the largest in-probability of
+      ``u`` (a node without in-edges has ``p_max = 0``);
+    * ``log_miss[u]`` is ``log1p(-p_max(u))`` (``-inf`` at
+      ``p_max = 1``, 0 where ``p_max = 0``), the gap denominator;
+    * ``thinning`` is ``(thin, ratio)``: ``thin[lo:hi]`` marks the
+      in-edges with ``p_e < p_max(u)``, which a candidate keeps with
+      probability ``ratio[e] = p_e / p_max(u)``.  It is ``None`` when no
+      in-edge is thinned (a WC-weighted graph), so such a graph keeps
+      no per-edge table.
+    """
+
+    __slots__ = ("live", "log_miss", "thinning")
+
+    def __init__(self, graph: DiGraph) -> None:
+        offsets = graph.in_offsets
+        probs = graph.in_probs
+        degrees = np.diff(offsets)
+        p_max = np.zeros(graph.n, dtype=np.float64)
+        has_edges = degrees > 0
+        uneven = False
+        if probs.size:
+            starts = offsets[:-1][has_edges]
+            p_max[has_edges] = np.maximum.reduceat(probs, starts)
+            uneven = bool(
+                (np.minimum.reduceat(probs, starts) < p_max[has_edges]).any()
+            )
+        self.live = p_max > 0.0
+        with np.errstate(divide="ignore"):
+            self.log_miss = np.log1p(-p_max)
+        self.thinning: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if uneven:
+            edge_max = np.repeat(p_max, degrees)
+            thin = probs < edge_max
+            ratio = np.ones(probs.shape[0], dtype=np.float64)
+            np.divide(probs, edge_max, out=ratio, where=thin)
+            self.thinning = (thin, ratio)
+
+
 def _ic_python(
-    graph: DiGraph, roots: np.ndarray, rng: np.random.Generator
+    graph: DiGraph,
+    roots: np.ndarray,
+    rng: np.random.Generator,
+    tables: ICSkipTables,
 ) -> KernelOutput:
     """Loop-based IC reference — the oracle the fast kernels must match.
 
-    Consumes exactly one ``rng.random(total)`` array per level (contract
-    item 2) but walks it edge by edge in explicit Python.
+    Walks contract item 2 entry by entry and candidate by candidate in
+    explicit Python; only ``log1p`` of each round's gap coins is taken
+    on the drawn array, exactly as the vectorized kernel takes it.
     """
     offsets = graph.in_offsets
     sources = graph.in_sources
-    probs = graph.in_probs
+    live = tables.live
+    log_miss = tables.log_miss
     batch = roots.shape[0]
     visited: List[set] = [{int(r)} for r in roots]
     rr_sets: List[List[int]] = [[int(r)] for r in roots]
@@ -187,24 +306,41 @@ def _ic_python(
     levels = 0
     while any(frontier):
         levels += 1
-        order: List[Tuple[int, int]] = [
-            (s, u) for s in range(batch) for u in frontier[s]
-        ]
-        total = sum(int(offsets[u + 1] - offsets[u]) for _, u in order)
-        edges_examined += total
-        if total == 0:
-            break
-        coins = rng.random(total)
-        pos = 0
         fresh: List[set] = [set() for _ in range(batch)]
-        for s, u in order:
-            lo, hi = int(offsets[u]), int(offsets[u + 1])
-            for e in range(lo, hi):
-                if coins[pos] < probs[e]:
-                    w = int(sources[e])
-                    if w not in visited[s]:
-                        fresh[s].add(w)
-                pos += 1
+        # Active entries: [set, node, position, end of the in-edge range].
+        active: List[List[int]] = []
+        for s in range(batch):
+            for u in frontier[s]:
+                lo, hi = int(offsets[u]), int(offsets[u + 1])
+                edges_examined += hi - lo
+                if live[u]:
+                    active.append([s, u, lo - 1, hi])
+        while active:
+            logs = np.log1p(-rng.random((len(active), SKIP_DRAWS)))
+            candidates: List[Tuple[int, int]] = []
+            still: List[List[int]] = []
+            for row, entry in enumerate(active):
+                s, u, pos, hi = entry
+                for j in range(SKIP_DRAWS):
+                    q = float(logs[row, j]) / float(log_miss[u])
+                    pos += math.floor(min(q, _GAP_CEILING)) + 1
+                    if pos < hi:
+                        candidates.append((s, pos))
+                if pos < hi:
+                    still.append([s, u, pos, hi])
+            thinned = [False] * len(candidates)
+            if tables.thinning is not None:
+                thin, ratio = tables.thinning
+                thinned = [bool(thin[e]) for _, e in candidates]
+            count = sum(thinned)
+            coins = iter(rng.random(count) if count else ())
+            for (s, e), is_thinned in zip(candidates, thinned):
+                if is_thinned and not next(coins) < ratio[e]:
+                    continue
+                w = int(sources[e])
+                if w not in visited[s]:
+                    fresh[s].add(w)
+            active = still
         for s in range(batch):
             level_nodes = sorted(fresh[s])
             visited[s].update(level_nodes)
@@ -213,53 +349,108 @@ def _ic_python(
     return (*_flatten(rr_sets), edges_examined, levels)
 
 
+def _ic_live_edges(
+    tables: ICSkipTables,
+    rng: np.random.Generator,
+    sets: np.ndarray,
+    nodes: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One level's skip rounds: the ``(set, in-edge)`` pairs kept live."""
+    live = tables.live[nodes]
+    if not live.all():
+        sets, nodes, starts, ends = sets[live], nodes[live], starts[live], ends[live]
+    if sets.size == 0:
+        return sets, sets  # both empty
+    denominators = tables.log_miss[nodes][:, None]
+    # The j-th candidate of a round sits at pos + cumsum(floor(q))[j] +
+    # j + 1, pos starting at lo - 1; ``positions`` holds pos + j + 1.
+    positions = (starts - 1)[:, None] + _DRAW_STEPS
+    ends = ends[:, None]
+    set_chunks: List[np.ndarray] = []
+    edge_chunks: List[np.ndarray] = []
+    while True:
+        gaps = np.log1p(-rng.random((sets.size, SKIP_DRAWS)))
+        gaps /= denominators
+        # q >= 0, so the cast truncates to floor(q).
+        np.minimum(gaps, _GAP_CEILING, out=gaps)
+        candidates = gaps.astype(np.int64).cumsum(axis=1)
+        candidates += positions
+        inside = candidates < ends
+        rows = inside.nonzero()[0]
+        edges = candidates[inside]
+        edge_sets = sets[rows]
+        if tables.thinning is not None:
+            thin, ratio = tables.thinning
+            thinned = thin[edges]
+            count = int(np.count_nonzero(thinned))
+            if count:
+                keep = ~thinned
+                keep[thinned] = rng.random(count) < ratio[edges[thinned]]
+                edges = edges[keep]
+                edge_sets = edge_sets[keep]
+        set_chunks.append(edge_sets)
+        edge_chunks.append(edges)
+        more = inside[:, -1]
+        if not more.any():
+            break
+        sets = sets[more]
+        denominators = denominators[more]
+        positions = candidates[more, -1:] + _DRAW_STEPS
+        ends = ends[more]
+    if len(edge_chunks) == 1:
+        return set_chunks[0], edge_chunks[0]
+    return np.concatenate(set_chunks), np.concatenate(edge_chunks)
+
+
 def _ic_fast(
-    graph: DiGraph, roots: np.ndarray, rng: np.random.Generator
+    graph: DiGraph,
+    roots: np.ndarray,
+    rng: np.random.Generator,
+    tables: ICSkipTables,
 ) -> KernelOutput:
-    """Frontier-batched IC expansion: one gather/scatter pass per level."""
+    """Frontier-batched IC expansion: skip rounds per level, then one
+    dedup pass over the level's live edges."""
     n = graph.n
     offsets = graph.in_offsets
     sources = graph.in_sources
-    probs = graph.in_probs
     batch = roots.shape[0]
 
-    visited = np.zeros((batch, n), dtype=bool)
+    visited = _Visited(batch, n)
     frontier_sets = np.arange(batch, dtype=np.int64)
     frontier_nodes = roots.astype(np.int64)
-    visited[frontier_sets, frontier_nodes] = True
+    visited.mark(frontier_sets, frontier_nodes)
     sample_chunks = [frontier_sets]
     node_chunks = [frontier_nodes]
     edges_examined = 0
     levels = 0
 
-    while frontier_nodes.size:
-        levels += 1
-        starts = offsets[frontier_nodes]
-        lengths = offsets[frontier_nodes + 1] - starts
-        total = int(lengths.sum())
-        edges_examined += total
-        if total == 0:
-            break
-        coins = rng.random(total)
-        cum = np.cumsum(lengths)
-        index = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - np.concatenate(([0], cum[:-1])), lengths
-        )
-        live = coins < probs[index]
-        live_sets = np.repeat(frontier_sets, lengths)[live]
-        live_nodes = sources[index][live].astype(np.int64)
-        unvisited = ~visited[live_sets, live_nodes]
-        if not unvisited.any():
-            break
-        codes = np.unique(
-            live_sets[unvisited] * np.int64(n) + live_nodes[unvisited]
-        )
-        frontier_sets = codes // n
-        frontier_nodes = codes % n
-        visited[frontier_sets, frontier_nodes] = True
-        sample_chunks.append(frontier_sets)
-        node_chunks.append(frontier_nodes)
+    in_ends = offsets[1:]
+    with np.errstate(over="ignore"):
+        while frontier_nodes.size:
+            levels += 1
+            starts = offsets[frontier_nodes]
+            ends = in_ends[frontier_nodes]
+            edges_examined += int(ends.sum()) - int(starts.sum())
+            live_sets, live_edges = _ic_live_edges(
+                tables, rng, frontier_sets, frontier_nodes, starts, ends
+            )
+            if live_edges.size == 0:
+                break
+            live_nodes = sources[live_edges].astype(np.int64)
+            unvisited = visited.unvisited(live_sets, live_nodes)
+            if not unvisited.any():
+                break
+            codes = _sorted_unique(
+                live_sets[unvisited] * np.int64(n) + live_nodes[unvisited]
+            )
+            frontier_sets, frontier_nodes = np.divmod(codes, n)
+            visited.mark(frontier_sets, frontier_nodes)
+            sample_chunks.append(frontier_sets)
+            node_chunks.append(frontier_nodes)
 
+    del visited  # the batch's largest array; assembly needs it no more
     return (*_assemble(batch, sample_chunks, node_chunks), edges_examined, levels)
 
 
@@ -268,20 +459,23 @@ def sample_rr_sets_ic_kernel(
     roots: np.ndarray,
     rng: np.random.Generator,
     kernel: str = "vectorized",
+    tables: Optional[ICSkipTables] = None,
 ) -> KernelOutput:
     """Sample one IC RR set per root under the kernel RNG contract.
 
     Returns a :data:`KernelOutput`; RR set ``i`` starts with
     ``roots[i]``.  All kernels are bitwise-interchangeable for the same
-    generator state.
+    generator state.  *tables* are built from *graph* when omitted.
     """
     kernel = resolve_kernel(kernel)
     roots = np.asarray(roots, dtype=np.int64)
     if roots.shape[0] == 0:
         return _empty_output()
+    if tables is None:
+        tables = ICSkipTables(graph)
     if kernel == "python":
-        return _ic_python(graph, roots, rng)
-    return _ic_fast(graph, roots, rng)
+        return _ic_python(graph, roots, rng, tables)
+    return _ic_fast(graph, roots, rng, tables)
 
 
 # ----------------------------------------------------------------------
@@ -350,10 +544,10 @@ def _lt_fast(
     alias = tables.alias
     batch = roots.shape[0]
 
-    visited = np.zeros((batch, n), dtype=bool)
+    visited = _Visited(batch, n)
     walk_sets = np.arange(batch, dtype=np.int64)
     walk_nodes = roots.astype(np.int64)
-    visited[walk_sets, walk_nodes] = True
+    visited.mark(walk_sets, walk_nodes)
     sample_chunks = [walk_sets]
     node_chunks = [walk_nodes]
     edges_examined = 0
@@ -374,15 +568,16 @@ def _lt_fast(
         reject = rng.random(walk_nodes.size) >= accept[slots]
         columns = np.where(reject, alias[slots], columns)
         next_nodes = sources[lo + columns].astype(np.int64)
-        fresh = ~visited[walk_sets, next_nodes]
+        fresh = visited.unvisited(walk_sets, next_nodes)
         walk_sets = walk_sets[fresh]
         walk_nodes = next_nodes[fresh]
         if walk_nodes.size == 0:
             break
-        visited[walk_sets, walk_nodes] = True
+        visited.mark(walk_sets, walk_nodes)
         sample_chunks.append(walk_sets)
         node_chunks.append(walk_nodes)
 
+    del visited
     return (*_assemble(batch, sample_chunks, node_chunks), edges_examined, steps)
 
 
@@ -457,10 +652,10 @@ def sample_rr_sets_triggering_kernel(
                 frontier[s] = level_nodes
         return (*_flatten(rr_sets), edges_examined, levels)
 
-    visited_matrix = np.zeros((batch, n), dtype=bool)
+    visited_matrix = _Visited(batch, n)
     frontier_sets = np.arange(batch, dtype=np.int64)
     frontier_nodes = roots.astype(np.int64)
-    visited_matrix[frontier_sets, frontier_nodes] = True
+    visited_matrix.mark(frontier_sets, frontier_nodes)
     sample_chunks = [frontier_sets]
     node_chunks = [frontier_nodes]
     while frontier_nodes.size:
@@ -479,18 +674,19 @@ def sample_rr_sets_triggering_kernel(
             break
         hit_nodes = np.concatenate(trigger_chunks)
         hit_sets = np.concatenate(trigger_sets)
-        unvisited = ~visited_matrix[hit_sets, hit_nodes]
+        unvisited = visited_matrix.unvisited(hit_sets, hit_nodes)
         if not unvisited.any():
             break
-        codes = np.unique(
+        codes = _sorted_unique(
             hit_sets[unvisited] * np.int64(n) + hit_nodes[unvisited]
         )
         frontier_sets = codes // n
         frontier_nodes = codes % n
-        visited_matrix[frontier_sets, frontier_nodes] = True
+        visited_matrix.mark(frontier_sets, frontier_nodes)
         sample_chunks.append(frontier_sets)
         node_chunks.append(frontier_nodes)
 
+    del visited_matrix
     return (*_assemble(batch, sample_chunks, node_chunks), edges_examined, levels)
 
 
@@ -505,11 +701,12 @@ def sample_rr_sets_kernel(
     kernel: str = "vectorized",
     lt_tables: Optional[LTAliasTables] = None,
     triggering_sets: Optional[TriggeringSetSampler] = None,
+    ic_tables: Optional[ICSkipTables] = None,
 ) -> KernelOutput:
     """Model dispatch over the kernel samplers (one RR set per root)."""
     model = model.upper()
     if model == "IC":
-        return sample_rr_sets_ic_kernel(graph, roots, rng, kernel)
+        return sample_rr_sets_ic_kernel(graph, roots, rng, kernel, ic_tables)
     if model == "LT":
         if lt_tables is None:
             lt_tables = LTAliasTables(graph)
@@ -602,6 +799,9 @@ class RRSampler:
         self.fill_seconds = 0.0
         self.obs = resolve_registry(registry)
         self._lt_tables: Optional[LTAliasTables] = None
+        self._ic_tables: Optional[ICSkipTables] = None
+        if model == "IC":
+            self._ic_tables = ICSkipTables(graph)
         if model == "LT":
             with self.obs.trace("sampling/tables"):
                 started = time.perf_counter()
@@ -637,6 +837,7 @@ class RRSampler:
                 self.rng,
                 kernel=self.kernel,
                 lt_tables=self._lt_tables,
+                ic_tables=self._ic_tables,
                 triggering_sets=self.triggering_sets,
             )
         size = int(nodes.shape[0])

@@ -435,6 +435,9 @@ class ClusterFrontend(JsonHTTPServer):
             "engine": info,
             "checkpointed": payload.get("checkpointed", False),
         }
+        if payload.get("checkpoint_error"):
+            job.result["checkpoint_error"] = payload["checkpoint_error"]
+            self.obs.count("cluster.checkpoint_failures")
         self._finish_job(job, "done")
         self.obs.count("cluster.jobs_done")
         self.obs.histogram(

@@ -271,8 +271,15 @@ class _WorkerHost:
             return
         elapsed = time.perf_counter() - started
         # Job-boundary checkpoint: the determinism anchor for crash
-        # recovery (and what eviction/drain rely on being fresh).
-        checkpointed = engine.checkpoint() is not None
+        # recovery (and what eviction/drain rely on being fresh).  A
+        # failed write still finishes the job, with checkpointed false:
+        # the engine keeps its stale count, so the next one retries.
+        checkpoint_error: Optional[str] = None
+        try:
+            checkpointed = engine.checkpoint() is not None
+        except OSError as exc:
+            checkpointed = False
+            checkpoint_error = f"{type(exc).__name__}: {exc}"
         evicted = self._evict_cold_lru(keep=graph_id)
         events = [
             dict(event)
@@ -288,6 +295,7 @@ class _WorkerHost:
                 "claims": engine.guarantee_claims(),
                 "engine": self.engine_info(engine),
                 "checkpointed": checkpointed,
+                "checkpoint_error": checkpoint_error,
                 "evicted": evicted,
                 "worker_seconds": elapsed,
                 "events": events,

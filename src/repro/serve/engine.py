@@ -581,8 +581,25 @@ class SeedQueryEngine:
     # ------------------------------------------------------------------
     # Index persistence
     # ------------------------------------------------------------------
+    def _is_index_dir(self, directory: PathLike) -> bool:
+        """Whether *directory* is the one :meth:`checkpoint` writes to
+        (any directory when the engine has no ``index_dir``)."""
+        if self.index_dir is None:
+            return True
+        return Path(directory).resolve() == self.index_dir.resolve()
+
+    def _mark_index_unsynced(self) -> None:
+        self._index_synced_rr_sets = None
+        self._index_synced_at = None
+        self._index_synced_sessions = None
+
     def save_index(self, directory: Optional[PathLike] = None) -> Dict[str, Any]:
-        """Persist the shared sketch (defaults to ``index_dir``)."""
+        """Persist the shared sketch (defaults to ``index_dir``).
+
+        Only a save into ``index_dir`` counts as a sync for
+        :meth:`checkpoint` and :meth:`index_staleness`: a copy written
+        elsewhere leaves ``index_dir``'s state as it was.
+        """
         self._check_open()
         target = Path(directory) if directory is not None else self.index_dir
         if target is None:
@@ -602,8 +619,9 @@ class SeedQueryEngine:
             extra={"sessions": sessions} if sessions else None,
         )
         self.obs.count("serve.index_saves")
-        self._manifest = manifest
-        self._mark_index_synced()
+        if directory is None or self._is_index_dir(target):
+            self._manifest = manifest
+            self._mark_index_synced()
         return manifest
 
     def load_index(self, directory: PathLike, mmap: bool = True) -> None:
@@ -615,7 +633,9 @@ class SeedQueryEngine:
         query after the restart runs with the same failure-budget
         slice and Sadeh sample cap as it would have uninterrupted),
         and re-adopts the collections into any per-``k`` session
-        already created.
+        already created.  A load from a directory other than
+        ``index_dir`` leaves the engine unsynced, so the next
+        :meth:`checkpoint` writes ``index_dir`` in full.
         """
         self._check_open()
         loaded = load_index(
@@ -649,5 +669,8 @@ class SeedQueryEngine:
             session.online.adopt_collections(self.r1, self.r2, self._greedy)
         self.obs.count("serve.index_loads")
         self.obs.set_gauge("serve.index_rr_sets", self.num_rr_sets)
-        self._manifest = manifest
-        self._mark_index_synced()
+        if self._is_index_dir(directory):
+            self._manifest = manifest
+            self._mark_index_synced()
+        else:
+            self._mark_index_unsynced()

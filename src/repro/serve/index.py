@@ -91,8 +91,10 @@ PathLike = Union[str, Path]
 #: Bumped on any incompatible change to the on-disk layout or stream
 #: (2: every sampler draws through the vectorized kernel; 3: schedule
 #: positions may sit in ``sessions.journal``, which an older reader
-#: would ignore and so reuse spent ``delta / 2^i`` slices).
-INDEX_FORMAT_VERSION = 3
+#: would ignore and so reuse spent ``delta / 2^i`` slices; 4: the
+#: kernel's RNG contract v2, skip-and-thin IC and bit-packed batches,
+#: so a format-3 stream continued here would not replay bitwise).
+INDEX_FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 

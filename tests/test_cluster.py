@@ -21,6 +21,8 @@ End-to-end through a real listening socket and real worker processes:
 from __future__ import annotations
 
 import asyncio
+import errno
+import os
 import threading
 
 import pytest
@@ -826,6 +828,85 @@ class TestFailureModes:
             for key in (
                 "seeds", "alpha", "num_rr_sets", "sigma_low", "sigma_up",
                 "theta_cap", "queries_made",
+            ):
+                assert reply["response"][key] == want[key], key
+
+    def test_failed_job_boundary_checkpoint_finishes_the_job(
+        self, tmp_path, monkeypatch
+    ):
+        """An ENOSPC at the job-boundary checkpoint still finishes the job
+        (200, ``checkpointed: false``); the next job's checkpoint
+        retries and writes, and a restart loads that later state."""
+        from repro.serve import SeedQueryEngine
+
+        graph = make_graph()
+        params = dict(seed=7, step=400, delta=0.2)
+        jobs = [(2, 4000), (3, 4000), (2, 4000)]
+        with SeedQueryEngine(graph, "IC", **params) as ref:
+            expected = [
+                ref.answer(k, epsilon=0.3, rr_budget=budget)
+                for k, budget in jobs
+            ]
+        original = SeedQueryEngine.checkpoint
+        calls = []
+
+        def enospc_once(engine):
+            calls.append(None)  # per process: the forked worker's copy
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return original(engine)
+
+        registry = MetricsRegistry()
+
+        async def first_run():
+            front = await _started_frontend(
+                state_dir=tmp_path, workers=1, registry=registry
+            )
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(graph, "g", tenant="t", **params)
+                replies = []
+                for k, budget in jobs[:2]:
+                    status, _, body = await _submit_and_wait(
+                        client, "g", headers, k=k, rr_budget=budget
+                    )
+                    assert status == 200, body
+                    replies.append(body)
+                return replies
+            finally:
+                await client.close()
+                # No drain: the index holds what the job checkpoints wrote.
+                await front.close(drain=False)
+
+        async def restart():
+            front = await _started_frontend(state_dir=tmp_path, workers=1)
+            client = await ServeClient.connect(front.host, front.port)
+            try:
+                front.register_graph(graph, "g", tenant="t", **params)
+                k, budget = jobs[2]
+                status, _, body = await _submit_and_wait(
+                    client, "g", {"X-Tenant": "t"}, k=k, rr_budget=budget
+                )
+                assert status == 200, body
+                return body
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SeedQueryEngine, "checkpoint", enospc_once)
+            failed, retried = run(first_run())
+        assert failed["checkpointed"] is False
+        assert os.strerror(errno.ENOSPC) in failed["checkpoint_error"]
+        assert retried["checkpointed"] is True
+        assert "checkpoint_error" not in retried
+        assert registry.counter("cluster.checkpoint_failures").value == 1
+        warm = run(restart())
+        assert warm["engine"]["loaded_from_index"]
+        for reply, want in zip((failed, retried, warm), expected):
+            for key in (
+                "seeds", "alpha", "num_rr_sets", "sampled", "queries_made",
             ):
                 assert reply["response"][key] == want[key], key
 

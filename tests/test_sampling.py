@@ -304,8 +304,10 @@ def stream_digest(sampler, count=4000):
 
 
 class TestPinnedLTStreams:
-    """The LT streams of index format 2, pinned: tables built another way
-    must leave every RR set and the generator state where they were."""
+    """The LT streams of RNG contract v2 (index format 4), pinned: tables
+    built another way must leave every RR set and the generator state
+    where they were.  Contract v2 changed them only through the wider
+    batches of its bit-packed visited matrix."""
 
     @pytest.fixture(scope="class")
     def pokec(self):
@@ -314,7 +316,7 @@ class TestPinnedLTStreams:
     def test_lt_stream(self, pokec):
         sampler = RRSampler(pokec, "LT", seed=2018)
         assert stream_digest(sampler) == (
-            "860c733c6b1332f79faa0ed270fe0e56345e69291893c375aaded5d82bb1d2c8"
+            "7a3574008908fa261b980ae1c2ae21b94452a74cd40af2410b319024f5a1c05d"
         )
 
     def test_lt_triggering_stream(self, pokec):
@@ -323,19 +325,19 @@ class TestPinnedLTStreams:
             triggering_sets=lt_triggering_sets(pokec),
         )
         assert stream_digest(sampler) == (
-            "4c91d9817bcb6473ef9717bedf676cb026d913a646e7418781affc262890fa3a"
+            "48c917a26293bd69ffdc1c2c8975b8081efa76467776db743d19b52ccc369d9b"
         )
 
 
 class TestPinnedICStream:
-    """The IC stream of index format 2, pinned as the per-set layout
-    drew it: flat kernel output must leave every RR set and the
-    generator state where they were."""
+    """The IC stream of RNG contract v2 (skip and thin, index format 4),
+    pinned: a kernel change must leave every RR set and the generator
+    state where they were."""
 
     def test_ic_stream(self):
         sampler = RRSampler(load_dataset("pokec-sim", scale=0.25), "IC", seed=2018)
         assert stream_digest(sampler) == (
-            "cf21ab6b55cfd0f3f26c077d380cac5b095d40ef6b8c555ef5c44754fb96c64d"
+            "cf2eb0773a40b5fe1c5265aa889f071fcbc8cd6b58db8ffae99ee5e52444ee9c"
         )
 
 

@@ -31,6 +31,7 @@ from repro.exceptions import GraphFormatError, ParameterError, StateError
 from repro.graph.build import from_edge_list
 from repro.obs import MetricsRegistry, TraceRecorder
 from repro.serve import (
+    INDEX_FORMAT_VERSION,
     LRUCache,
     SeedQueryEngine,
     SeedQueryServer,
@@ -157,6 +158,27 @@ class TestIndex:
             },
         }
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(GraphFormatError, match="rebuild the index"):
+            load_index(tmp_path, medium_graph)
+        with pytest.raises(GraphFormatError, match="rebuild the index"):
+            SeedQueryEngine(medium_graph, "IC", seed=42, index_dir=tmp_path)
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_contract_v1_index_asks_for_rebuild(
+        self, medium_graph, tmp_path, version
+    ):
+        """Formats 2 and 3 hold streams of the kernel's RNG contract v1;
+        continued by contract v2 they would not replay bitwise."""
+        with SeedQueryEngine(
+            medium_graph, "IC", seed=42, index_dir=tmp_path
+        ) as eng:
+            eng.extend(100)
+            eng.save_index()
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["version"] == INDEX_FORMAT_VERSION == 4
+        manifest["version"] = version
+        path.write_text(json.dumps(manifest))
         with pytest.raises(GraphFormatError, match="rebuild the index"):
             load_index(tmp_path, medium_graph)
         with pytest.raises(GraphFormatError, match="rebuild the index"):
@@ -1583,6 +1605,51 @@ class TestSessionJournal:
             load_index(tmp_path, medium_graph).manifest["extra"]["sessions"]
             == schedule
         )
+
+    def test_save_elsewhere_leaves_index_dir_unsynced(
+        self, medium_graph, tmp_path
+    ):
+        """A copy saved to another directory is not a checkpoint of
+        ``index_dir``: the next checkpoint still writes the sketch
+        there, and a restart on ``index_dir`` is warm."""
+        home, copy = tmp_path / "home", tmp_path / "copy"
+        with _journal_engine(medium_graph, home) as eng:
+            eng.answer(4, epsilon=0.3, rr_budget=6000)
+            eng.save_index(copy)
+            assert eng.index_staleness()["synced"] is False
+            repeat = _sketch_answer(eng, 4)
+            manifest = eng.checkpoint()
+            assert manifest is not None
+            assert manifest["theta1"] + manifest["theta2"] == eng.num_rr_sets
+            sketch = (eng.r1.flat(), eng.r2.flat(), eng.num_rr_sets)
+        assert (home / "r1_nodes.npy").exists()
+        with _journal_engine(medium_graph, home) as warm:
+            assert warm.loaded_from_index
+            assert warm.num_rr_sets == sketch[2]
+            for half, (nodes, offsets) in zip((warm.r1, warm.r2), sketch):
+                assert np.array_equal(half.flat()[0], nodes)
+                assert np.array_equal(half.flat()[1], offsets)
+            again = warm.answer(4, epsilon=0.3, rr_budget=6000)
+            assert again["seeds"] == repeat["seeds"]
+            assert again["queries_made"] == repeat["queries_made"] + 1
+
+    def test_load_from_elsewhere_makes_the_next_checkpoint_full(
+        self, medium_graph, tmp_path
+    ):
+        home, other = tmp_path / "home", tmp_path / "other"
+        with SeedQueryEngine(
+            medium_graph, "IC", seed=7, step=400, delta=0.2
+        ) as eng:
+            eng.answer(4, epsilon=0.3, rr_budget=6000)
+            eng.save_index(other)
+            want = eng.num_rr_sets
+        with _journal_engine(medium_graph, home) as eng:
+            eng.load_index(other)
+            assert eng.index_staleness()["synced"] is False
+            assert eng.checkpoint() is not None
+            assert eng.index_staleness()["stale_rr_sets"] == 0
+        with _journal_engine(medium_graph, home) as warm:
+            assert warm.loaded_from_index and warm.num_rr_sets == want
 
     def test_save_drops_an_unreadable_journal(self, medium_graph, journaled):
         """The writer's own schedule covers what it journaled, so a save
