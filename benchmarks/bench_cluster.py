@@ -20,12 +20,18 @@ real listening socket and real worker processes:
 * **admission control** — a graph registered with a deliberately tiny
   memory budget accepts its first job and 503s (``Retry-After``) the
   next;
+* **constant-size replies** — one client sends the same repeat job to
+  one graph ``FLAT_JOBS`` times.  A reply carries only its own claim,
+  so neither its latency nor its size may grow with the engine's age:
+  the p50 over jobs 270-300 against jobs 10-40, and the reply bytes at
+  job 300 against job 10, stay flat;
 * **crash recovery** — a fault-injected job kills its worker mid-run;
   the requeued job's answer must be bitwise-identical to an
   uninterrupted single-process reference engine.
 
-Results go to ``benchmarks/results/BENCH_cluster.json``; the warm p95
-and jobs/s figures are gated in ``BENCH_baseline.json``.
+Results go to ``benchmarks/results/BENCH_cluster.json``; the warm p95,
+jobs/s and both constant-size ratios are gated in
+``BENCH_baseline.json``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,10 @@ EPSILON = 0.3
 RR_BUDGET = 4000
 WARM_REQUESTS_PER_GRAPH = 10
 THROUGHPUT_JOBS = 24
+FLAT_JOBS = 300
+#: 1-based job windows whose p50s the constant-size ratio compares.
+FLAT_EARLY = (10, 40)
+FLAT_LATE = (270, 300)
 TENANT = "bench"
 HEADERS = {"X-Tenant": TENANT}
 
@@ -121,6 +131,9 @@ async def _cluster_scenario(graphs, crash_graph, state_dir, reference):
             graphs[0], "g-tiny", tenant=TENANT, seed=SEED, step=2000,
             mem_budget=1024,
         )
+        front.register_graph(
+            graphs[1], "g-flat", tenant=TENANT, seed=SEED + 1, step=2000
+        )
         # Untouched graph for the crash trial (see ``crash_graph``).
         front.register_graph(
             crash_graph, "g-crash", tenant=TENANT, seed=SEED, step=2000
@@ -181,6 +194,22 @@ async def _cluster_scenario(graphs, crash_graph, state_dir, reference):
             status == 200 for lane in replies for status, _, _ in lane
         )
 
+        # Constant-size replies: the same job, FLAT_JOBS times in a row,
+        # on a graph no other phase touches.  Every job after the first
+        # is capped at the first one's sketch, so the series times pure
+        # repeats under the delta/2^i schedule.
+        flat_latencies = []
+        flat_bytes = []
+        query = _query("g-flat")
+        for index in range(FLAT_JOBS):
+            started = time.perf_counter()
+            status, headers, body = await _job(client, query)
+            flat_latencies.append(time.perf_counter() - started)
+            assert status == 200, body
+            assert index == 0 or body["response"]["sampled"] == 0
+            query = {**query, "rr_budget": body["response"]["num_rr_sets"]}
+            flat_bytes.append(int(headers["content-length"]))
+
         # Admission control: the tiny-budget graph takes one job, then
         # rejects with 503 + Retry-After until evicted.
         status, _, body = await _job(client, _query("g-tiny"))
@@ -226,6 +255,8 @@ async def _cluster_scenario(graphs, crash_graph, state_dir, reference):
             "distinct_shards": len(shards),
             "warm_latencies": latencies,
             "throughput_seconds": elapsed,
+            "flat_latencies": flat_latencies,
+            "flat_bytes": flat_bytes,
             "admission": admission,
             "crash_trial": crash_trial,
             "num_rr_sets": cold["g0"]["response"]["num_rr_sets"],
@@ -233,6 +264,25 @@ async def _cluster_scenario(graphs, crash_graph, state_dir, reference):
     finally:
         await client.close()
         await front.close(drain=True)
+
+
+def _constant_size(latencies, nbytes):
+    """Late-vs-early p50 and reply-size ratios of the repeat series."""
+    def window(bounds):
+        return latencies[bounds[0] - 1:bounds[1]]
+
+    early = statistics.median(window(FLAT_EARLY))
+    late = statistics.median(window(FLAT_LATE))
+    first, last = FLAT_EARLY[0], FLAT_LATE[1]
+    return {
+        "jobs": len(latencies),
+        "early_p50_ms": round(1e3 * early, 3),
+        "late_p50_ms": round(1e3 * late, 3),
+        "p50_ratio": round(late / early, 3),
+        f"reply_bytes_job{first}": nbytes[first - 1],
+        f"reply_bytes_job{last}": nbytes[last - 1],
+        "reply_bytes_ratio": round(nbytes[last - 1] / nbytes[first - 1], 3),
+    }
 
 
 def _reference_answers(graph):
@@ -277,6 +327,9 @@ def bench_cluster_tier(benchmark, graphs, crash_graph, tmp_path_factory):
         },
         "admission": outcome["admission"],
         "crash_trial": outcome["crash_trial"],
+        "constant_size": _constant_size(
+            outcome["flat_latencies"], outcome["flat_bytes"]
+        ),
     }
     results_dir = Path(__file__).parent / "results"
     results_dir.mkdir(exist_ok=True)
@@ -286,3 +339,5 @@ def bench_cluster_tier(benchmark, graphs, crash_graph, tmp_path_factory):
     assert summary["distinct_shards"] >= 2
     assert summary["crash_trial"]["bitwise_identical"]
     assert summary["admission"]["rejected_status"] == 503
+    assert summary["constant_size"]["p50_ratio"] <= 1.2
+    assert summary["constant_size"]["reply_bytes_ratio"] <= 1.1

@@ -218,20 +218,32 @@ class OPIMSession:
         and the ``delta / 2^i`` slice it was charged.  All claims hold
         *jointly* w.p. >= ``1 - delta`` — the statement the statistical
         acceptance harness (:mod:`repro.stats_harness`) verifies end to
-        end against brute-force ``OPT`` oracles.
+        end against brute-force ``OPT`` oracles.  After
+        :meth:`restore_schedule` the numbering (and each ``query_delta``)
+        continues from the restored position.
         """
-        claims: List[Dict[str, Any]] = []
-        for index, snap in enumerate(self.history, start=1):
-            claims.append(
-                {
-                    "query": index,
-                    "seeds": [int(s) for s in snap.seeds],
-                    "alpha": float(snap.alpha),
-                    "query_delta": self.delta / (2.0 ** index),
-                    "num_rr_sets": int(snap.num_rr_sets),
-                }
-            )
-        return claims
+        return [self._claim(position) for position in range(len(self.history))]
+
+    def last_claim(self) -> Optional[Dict[str, Any]]:
+        """The claim of the latest query (``query == queries_made``),
+        or ``None`` before the first; costs one claim, not the
+        history."""
+        if not self.history:
+            return None
+        return self._claim(len(self.history) - 1)
+
+    def _claim(self, position: int) -> Dict[str, Any]:
+        # Queries restored by restore_schedule have no snapshot, so
+        # history[0] is query number queries_made - len(history) + 1.
+        index = self.queries_made - len(self.history) + position + 1
+        snap = self.history[position]
+        return {
+            "query": index,
+            "seeds": [int(s) for s in snap.seeds],
+            "alpha": float(snap.alpha),
+            "query_delta": self.delta / (2.0 ** index),
+            "num_rr_sets": int(snap.num_rr_sets),
+        }
 
     def run_until(
         self,

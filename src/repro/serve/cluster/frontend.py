@@ -19,8 +19,14 @@ graph registry, the job table, and the admission decisions:
   table already holds ``queue_limit`` unfinished jobs, or when the
   target graph's resident sketch has reached its memory budget (the
   worker enforces the same check authoritatively).
-* **Crash recovery**: a result-pump task polls the worker supervisor;
-  when a worker dies its unfinished jobs are re-dispatched (with any
+* ``GET /graphs/{name}/claims`` — every guarantee claim the graph's
+  resident engine has made, by ``k``.  A job result carries only the
+  claim its own answer made (``claim``), so replies stay the same size
+  however long the engine has served.
+* **Crash recovery**: the event loop reads every worker's result pipe
+  and watches its process sentinel (:meth:`WorkerSupervisor.attach`);
+  when a worker dies, the results it had already written are
+  delivered, then its unfinished jobs are re-dispatched (with any
   fault injection stripped) onto the respawned worker, which
   warm-restarts every engine from its persistent index — so the
   requeued answer is bitwise-identical to an uninterrupted run.
@@ -60,7 +66,7 @@ from repro.serve.cluster.registry import (
     GraphSpec,
     GraphStatus,
 )
-from repro.serve.cluster.worker import ClusterError, WorkerSupervisor
+from repro.serve.cluster.worker import WorkerSupervisor
 from repro.serve.http import ProtocolError, Request, TextResponse
 
 DEFAULT_PORT = 8473
@@ -184,10 +190,10 @@ class ClusterFrontend(JsonHTTPServer):
         )
         self._jobs: Dict[str, ClusterJob] = {}
         self._finished: Deque[str] = deque()
-        self._pump: Optional[asyncio.Task] = None
-        self._pump_stop = False
-        self._evict_waiters: Dict[
-            str, List[Tuple[asyncio.Event, Dict[str, Any]]]
+        # Requests answered by one worker message ("evicted", "claims"),
+        # keyed by (message kind, graph id).
+        self._waiters: Dict[
+            Tuple[str, str], List[Tuple[asyncio.Event, Dict[str, Any]]]
         ] = {}
         self._cluster_error: Optional[str] = None
 
@@ -195,10 +201,12 @@ class ClusterFrontend(JsonHTTPServer):
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and start the worker result pump."""
-        self._pump_stop = False
-        self._pump = asyncio.create_task(
-            self._pump_loop(), name="cluster-result-pump"
+        """Put the workers on this loop and bind the listener."""
+        self._supervisor.attach(
+            asyncio.get_running_loop(),
+            on_message=self._handle_message,
+            on_respawn=self._requeue_worker,
+            on_fatal=lambda exc: self._fail_cluster(str(exc)),
         )
         await self._start_listener()
 
@@ -206,8 +214,8 @@ class ClusterFrontend(JsonHTTPServer):
         """Graceful shutdown.
 
         Stops accepting, lets in-flight jobs finish (bounded by
-        ``drain_timeout``), stops the pump, then drains the workers —
-        each checkpoints every resident sketch before exiting.
+        ``drain_timeout``), then drains the workers — each checkpoints
+        every resident sketch before exiting.
         """
         if self._closed:
             return
@@ -217,21 +225,10 @@ class ClusterFrontend(JsonHTTPServer):
             deadline = time.monotonic() + self.drain_timeout
             while self._pending_jobs() and time.monotonic() < deadline:
                 await asyncio.sleep(0.05)
-        # Stop the pump *before* draining: both consume the shared
-        # result queue, and a cancelled executor poll would eat the
-        # workers' "drained" acknowledgements.
-        self._pump_stop = True
-        if self._pump is not None:
-            await self._pump
-            self._pump = None
         self._closed = True
-        supervisor = self._supervisor
-        loop = asyncio.get_running_loop()
         if drain and self._cluster_error is None:
-            await loop.run_in_executor(
-                None, lambda: supervisor.drain(self.drain_timeout)
-            )
-        await loop.run_in_executor(None, supervisor.close)
+            await self._supervisor.drain(self.drain_timeout)
+        self._supervisor.close()
 
     async def serve_forever(self) -> None:
         """Run until SIGINT/SIGTERM, then drain and shut down."""
@@ -298,35 +295,12 @@ class ClusterFrontend(JsonHTTPServer):
         return status.spec.describe()
 
     # ------------------------------------------------------------------
-    # Worker result pump
+    # Worker messages
     # ------------------------------------------------------------------
     def _pending_jobs(self) -> List[ClusterJob]:
         return [
             job for job in self._jobs.values() if job.status not in TERMINAL
         ]
-
-    async def _pump_loop(self) -> None:
-        """Poll worker messages and liveness off the event loop."""
-        supervisor = self._supervisor
-        loop = asyncio.get_running_loop()
-
-        def poll_once() -> Tuple[List[int], Optional[Any]]:
-            respawned = supervisor.check_crashed()
-            return respawned, supervisor.poll(0.05)
-
-        while not self._pump_stop:
-            try:
-                respawned, message = await loop.run_in_executor(
-                    None, poll_once
-                )
-            except ClusterError as exc:
-                self._fail_cluster(str(exc))
-                return
-            for worker_id in respawned:
-                self._requeue_worker(worker_id)
-            if message is not None:
-                kind, worker_id, payload = message
-                self._handle_message(kind, worker_id, payload)
 
     def _finish_job(self, job: ClusterJob, status: str) -> None:
         """Move a job to a terminal state and prune the oldest ones.
@@ -388,10 +362,11 @@ class ClusterFrontend(JsonHTTPServer):
                 job.error = payload.get("error", "worker failure")
                 self._finish_job(job, "failed")
                 self.obs.count("cluster.jobs_failed")
-        elif kind == "evicted":
-            self._note_eviction(payload)
-            for event, box in self._evict_waiters.pop(
-                payload.get("graph", ""), []
+        elif kind in ("evicted", "claims"):
+            if kind == "evicted":
+                self._note_eviction(payload)
+            for event, box in self._waiters.pop(
+                (kind, payload.get("graph", "")), []
             ):
                 box.update(payload)
                 event.set()
@@ -399,6 +374,9 @@ class ClusterFrontend(JsonHTTPServer):
             self.obs.count("cluster.worker_errors")
             self.obs.record("cluster_worker_error", worker=worker_id, **payload)
         elif kind in ("ready", "registered", "checkpointed", "drained"):
+            failures = payload.get("checkpoint_failures", ())
+            if failures:
+                self.obs.count("cluster.checkpoint_failures", len(failures))
             self.obs.record(f"cluster_{kind}", worker=worker_id, **payload)
 
     def _finish_job_done(self, payload: Dict[str, Any]) -> None:
@@ -431,9 +409,10 @@ class ClusterFrontend(JsonHTTPServer):
             "requeues": job.requeues,
             "trace_id": job.trace_id,
             "response": payload["response"],
-            "claims": payload["claims"],
+            "claim": payload["claim"],
             "engine": info,
             "checkpointed": payload.get("checkpointed", False),
+            "worker_seconds": payload["worker_seconds"],
         }
         if payload.get("checkpoint_error"):
             job.result["checkpoint_error"] = payload["checkpoint_error"]
@@ -442,15 +421,23 @@ class ClusterFrontend(JsonHTTPServer):
         self.obs.count("cluster.jobs_done")
         self.obs.histogram(
             "cluster.job_seconds", labels={"shard": str(job.shard)}
-        ).observe(float(payload.get("worker_seconds", 0.0)))
+        ).observe(float(payload["worker_seconds"]))
         self.obs.set_gauge("cluster.total_memory", self.registry.total_memory())
 
     def _note_eviction(self, payload: Dict[str, Any]) -> None:
+        """Fold one eviction report into the registry.
+
+        A failed checkpoint left the engine resident: it is counted as
+        a checkpoint failure, not an eviction.
+        """
+        if payload.get("checkpoint_error"):
+            self.obs.count("cluster.checkpoint_failures")
+            return
         graph_id = payload.get("graph")
         if graph_id is None or graph_id not in self.registry:
             return
         status = self.registry.get(graph_id)
-        if payload.get("resident", True):
+        if payload.get("evicted"):
             status.evictions += 1
             self.obs.count("cluster.evictions")
         status.resident = False
@@ -519,6 +506,13 @@ class ClusterFrontend(JsonHTTPServer):
                 return 503, {"error": "draining"}, QUEUE_RETRY_AFTER
             if self._cluster_error is not None:
                 return 500, {"error": self._cluster_error}, QUEUE_RETRY_AFTER
+            if (
+                request.method == "GET"
+                and len(segments) == 3
+                and segments[0] == "graphs"
+                and segments[2] == "claims"
+            ):
+                return await self._ask_worker("claims", tenant, segments[1])
             if route == ("POST", ("graphs",)):
                 return await self._handle_register(request, tenant)
             if (
@@ -527,7 +521,7 @@ class ClusterFrontend(JsonHTTPServer):
                 and segments[0] == "graphs"
                 and segments[2] == "evict"
             ):
-                return await self._handle_evict(tenant, segments[1])
+                return await self._ask_worker("evict", tenant, segments[1])
             if route == ("POST", ("jobs",)):
                 return self._handle_submit(request, tenant, trace_id)
             return 404, {"error": f"unknown path {request.path}"}, "1"
@@ -636,34 +630,39 @@ class ClusterFrontend(JsonHTTPServer):
         )
         return 201, description, "1"
 
-    async def _handle_evict(
-        self, tenant: str, name: str
+    async def _ask_worker(
+        self, task: str, tenant: str, name: str
     ) -> Tuple[int, Payload, str]:
+        """One round trip to a graph's worker: ``evict`` (answered by
+        "evicted") or ``claims`` (answered by "claims")."""
         status = self.registry.lookup(tenant, name)
         if status is None:
             return 404, {"error": f"unknown graph {tenant}/{name}"}, "1"
         graph_id = status.spec.graph_id
+        key = ("evicted" if task == "evict" else task, graph_id)
         event = asyncio.Event()
         box: Dict[str, Any] = {}
-        # One waiter *list* per graph: concurrent evicts of the same
-        # graph all resolve on the next "evicted" acknowledgement
+        # One waiter *list* per (kind, graph): concurrent requests for
+        # the same graph all resolve on the next acknowledgement
         # instead of the last request clobbering the earlier waiters.
-        self._evict_waiters.setdefault(graph_id, []).append((event, box))
-        self._supervisor.send(
-            status.spec.shard, "evict", {"graph": graph_id}
-        )
+        self._waiters.setdefault(key, []).append((event, box))
+        self._supervisor.send(status.spec.shard, task, {"graph": graph_id})
         try:
             await asyncio.wait_for(event.wait(), timeout=30.0)
         except asyncio.TimeoutError:
-            waiters = self._evict_waiters.get(graph_id)
+            waiters = self._waiters.get(key)
             if waiters is not None:
                 try:
                     waiters.remove((event, box))
                 except ValueError:
                     pass
                 if not waiters:
-                    self._evict_waiters.pop(graph_id, None)
-            return 500, {"error": f"evict of {graph_id} timed out"}, "1"
+                    self._waiters.pop(key, None)
+            return 500, {"error": f"{task} of {graph_id} timed out"}, "1"
+        if box.get("checkpoint_error"):
+            # The engine stays resident: its schedule positions exist
+            # nowhere else until a checkpoint lands.
+            return 500, {"error": "checkpoint failed", **box}, "1"
         return 200, box, "1"
 
     def _handle_submit(

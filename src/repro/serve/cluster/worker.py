@@ -7,30 +7,44 @@ sampler — serial or a nested :class:`~repro.sampling.service
 strictly serially — which is the same synchronization story the
 single-process server uses, applied per shard.
 
-Protocol (all messages are picklable tuples):
+Protocol: each worker has two one-way pipes of its own, a task pipe
+(front end -> worker) and a result pipe (worker -> front end).  Every
+message is one frame, an 8-byte big-endian length followed by a pickled
+tuple (:func:`frame`):
 
-* front end -> worker, over a per-worker ``SimpleQueue``::
+* front end -> worker::
 
-      ("register",  {spec fields...})     adopt a graph spec
-      ("job",       {job fields...})      run one seed query
-      ("evict",     {"graph": id})        checkpoint + drop an engine
+      ("register",   {spec fields...})    adopt a graph spec
+      ("job",        {job fields...})     run one seed query
+      ("evict",      {"graph": id})       checkpoint + drop an engine
+      ("claims",     {"graph": id})       the engine's claim history
       ("checkpoint", {})                  checkpoint every engine
       None                                drain: checkpoint all + exit
 
-* worker -> front end, over the shared result ``Queue``::
+* worker -> front end::
 
       ("ready" | "registered" | "job_done" | "job_rejected" |
-       "job_failed" | "evicted" | "checkpointed" | "drained" |
+       "job_failed" | "evicted" | "claims" | "checkpointed" | "drained" |
        "worker_error", worker_id, {payload...})
 
-Crash story: the supervisor polls worker liveness; a dead worker is
-respawned with a **fresh** queue pair, its graph specs are re-sent,
-and the front end re-dispatches its unfinished jobs.  Because a worker
-checkpoints each graph's sketch index only at job boundaries, the
-respawned engine warm-restarts from the last completed job's stream
-position and the re-run job consumes the exact RR-set stream the
-crashed run would have — bitwise-identical answers (the multi-process
-extension of the PR 4 warm-restart oracle).
+The worker reads and writes its ends blocking: a result is on the pipe
+when ``send`` returns, with no feeder thread in between.  The front
+end's ends are non-blocking and live on its event loop
+(:meth:`WorkerSupervisor.attach`): the result pipe and the process's
+``sentinel`` are read with ``loop.add_reader``, and a task that does
+not fit the pipe waits in an outbox flushed by ``loop.add_writer`` — a
+worker blocked on a full result pipe must never wait on a front end
+blocked writing to it.
+
+Crash story: a worker's exit makes its sentinel readable.  The
+supervisor then reads what the dead worker had already written, reaps
+the process, respawns it with **fresh** pipes, re-sends its graph
+specs, and tells the front end, which re-dispatches the worker's
+unfinished jobs.  Because a worker checkpoints each graph's sketch
+index at job boundaries, the respawned engine warm-restarts from the
+last completed job's stream position and the re-run job consumes the
+exact RR-set stream the crashed run would have — bitwise-identical
+answers (the multi-process extension of the warm-restart oracle).
 
 Memory story: each graph carries its own budget (admission control —
 a job on an at-budget graph is rejected with ``mem_budget`` and the
@@ -38,17 +52,23 @@ front end maps that to 503 + ``Retry-After``; the check runs against
 the engine *after* residency, so an evicted-then-reloaded sketch is
 measured the same as one that never left memory), and each worker
 carries a total budget under which cold engines are LRU-evicted
-(checkpoint to the index, then drop).
+(checkpoint to the index, then drop).  A checkpoint that fails outside
+the job boundary (LRU eviction, ``evict``, drain) is reported with
+``checkpointed: false`` and ``checkpoint_error``, and the engine stays
+resident: dropping it would forget ``delta / 2^i`` slices the index
+never recorded.
 """
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing as mp
 import os
-import queue
+import pickle
+import struct
 import time
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.exceptions import ParameterError, ReproError, StateError
 from repro.obs import MetricsRegistry, resolve_registry
@@ -61,11 +81,67 @@ from repro.serve.engine import SeedQueryEngine
 #: relief needs an eviction or an operator action, not just queue drain.
 MEM_BUDGET_RETRY_AFTER = 5
 
-Message = Tuple[str, int, Dict[str, Any]]
+#: Upper bound on reaping a worker whose sentinel fired: the exit can
+#: close the process's fds before ``waitpid`` reports it.
+JOIN_TIMEOUT = 5.0
 
+#: Bytes read from a result pipe per readiness callback.
+READ_CHUNK = 1 << 16
+
+_HEADER = struct.Struct("!Q")
 
 class ClusterError(ReproError):
     """A cluster worker failed beyond the restart budget."""
+
+
+def frame(message: Any) -> bytes:
+    """One wire frame: the pickled *message* behind its length."""
+    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(body)) + body
+
+
+def unframe(buffer: bytearray) -> List[Any]:
+    """Pop every complete frame off the front of *buffer*."""
+    messages: List[Any] = []
+    pos = 0
+    while len(buffer) - pos >= _HEADER.size:
+        (size,) = _HEADER.unpack_from(buffer, pos)
+        end = pos + _HEADER.size + size
+        if end > len(buffer):
+            break
+        messages.append(pickle.loads(memoryview(buffer)[pos + _HEADER.size:end]))
+        pos = end
+    if pos:
+        del buffer[:pos]
+    return messages
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, size: int) -> Optional[bytes]:
+    """*size* bytes from a blocking fd, or ``None`` at end of file."""
+    chunks = bytearray()
+    while len(chunks) < size:
+        chunk = os.read(fd, size - len(chunks))
+        if not chunk:
+            return None
+        chunks += chunk
+    return bytes(chunks)
+
+
+def _recv(fd: int) -> Tuple[bool, Any]:
+    """``(True, message)``, or ``(False, None)`` once the writer closed."""
+    header = _read_exact(fd, _HEADER.size)
+    if header is None:
+        return False, None
+    body = _read_exact(fd, _HEADER.unpack(header)[0])
+    if body is None:
+        return False, None
+    return True, pickle.loads(body)
 
 
 def _spec_payload(spec: GraphSpec) -> Dict[str, Any]:
@@ -86,29 +162,34 @@ def _spec_payload(spec: GraphSpec) -> Dict[str, Any]:
     }
 
 
+def _error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 class _WorkerHost:
     """Worker-process state: warm engines, budgets, trace shipping."""
 
     def __init__(
         self,
         worker_id: int,
-        result_queue: Any,
+        result_fd: int,
         mem_budget: Optional[int],
     ) -> None:
         self.worker_id = worker_id
-        self.result_queue = result_queue
+        self.result_fd = result_fd
         self.mem_budget = mem_budget
         # The worker process IS a composition root: it starts from a
         # bare fork and nothing picklable can inject a registry across
         # the process boundary.  Spans/counters ship back to the front
-        # end with each job result instead of a shared sink.
+        # end with each job result instead of a shared sink, and the
+        # task loop drops them after every task.
         self.recorder = TraceRecorder()
         self.obs = MetricsRegistry(sink=self.recorder)  # repro: noqa[RPR107]
         self.specs: Dict[str, Dict[str, Any]] = {}
         self.engines: "OrderedDict[str, SeedQueryEngine]" = OrderedDict()
 
     def send(self, kind: str, payload: Dict[str, Any]) -> None:
-        self.result_queue.put((kind, self.worker_id, payload))
+        _write_all(self.result_fd, frame((kind, self.worker_id, payload)))
 
     # -- engine lifecycle ----------------------------------------------
     def _engine(self, graph_id: str) -> SeedQueryEngine:
@@ -140,37 +221,56 @@ class _WorkerHost:
         return sum(e.memory_bytes() for e in self.engines.values())
 
     def _evict_engine(self, graph_id: str) -> Dict[str, Any]:
-        engine = self.engines.pop(graph_id)
-        checkpointed = engine.checkpoint() is not None
+        """Checkpoint, then drop, one resident engine.
+
+        A failed checkpoint keeps the engine resident (its schedule
+        positions exist nowhere else) and reports ``evicted: false``.
+        """
+        engine = self.engines[graph_id]
+        try:
+            checkpointed = engine.checkpoint() is not None
+        except OSError as exc:
+            return {
+                "graph": graph_id,
+                "evicted": False,
+                "checkpointed": False,
+                "checkpoint_error": _error_text(exc),
+            }
         freed = engine.memory_bytes()
+        del self.engines[graph_id]
         engine.close()
         return {
             "graph": graph_id,
+            "evicted": True,
             "checkpointed": checkpointed,
             "freed_bytes": freed,
         }
 
     def _evict_cold_lru(self, keep: str) -> List[Dict[str, Any]]:
         """Evict least-recently-used engines (never *keep*) until the
-        worker budget holds or nothing cold remains."""
+        worker budget holds or no cold engine is left to try."""
         evicted: List[Dict[str, Any]] = []
         if self.mem_budget is None:
             return evicted
-        while self.total_memory() > self.mem_budget and len(self.engines) > 1:
-            coldest = next(
-                (gid for gid in self.engines if gid != keep), None
-            )
-            if coldest is None:  # pragma: no cover - keep is the only one
+        for graph_id in [gid for gid in self.engines if gid != keep]:
+            if self.total_memory() <= self.mem_budget:
                 break
-            evicted.append(self._evict_engine(coldest))
+            evicted.append(self._evict_engine(graph_id))
         return evicted
 
-    def checkpoint_all(self) -> int:
+    def checkpoint_all(self) -> Tuple[int, List[Dict[str, str]]]:
+        """Checkpoint every engine: (written count, failures)."""
         count = 0
-        for engine in self.engines.values():
-            if engine.checkpoint() is not None:
-                count += 1
-        return count
+        failures: List[Dict[str, str]] = []
+        for graph_id, engine in self.engines.items():
+            try:
+                if engine.checkpoint() is not None:
+                    count += 1
+            except OSError as exc:
+                failures.append(
+                    {"graph": graph_id, "checkpoint_error": _error_text(exc)}
+                )
+        return count, failures
 
     def engine_info(self, engine: SeedQueryEngine) -> Dict[str, Any]:
         return {
@@ -192,6 +292,7 @@ class _WorkerHost:
         )
 
     def handle_job(self, task: Dict[str, Any]) -> None:
+        started = time.perf_counter()
         job_id = task["job_id"]
         graph_id = task["graph"]
         params = task["params"]
@@ -233,12 +334,11 @@ class _WorkerHost:
             # bitwise-identically.
             engine.extend(engine.step + engine.step % 2)
             os._exit(1)
-        events_before = len(self.recorder.events)
-        started = time.perf_counter()
+        hop = params.get("precision") == "hop"
         try:
             with self.obs.trace_context(trace_id):
                 with self.obs.trace("cluster/worker_job"):
-                    if params.get("precision") == "hop":
+                    if hop:
                         response = engine.answer_hop(
                             k=params.get("k"),
                             seeds=params.get("seeds"),
@@ -269,7 +369,6 @@ class _WorkerHost:
                 },
             )
             return
-        elapsed = time.perf_counter() - started
         # Job-boundary checkpoint: the determinism anchor for crash
         # recovery (and what eviction/drain rely on being fresh).  A
         # failed write still finishes the job, with checkpointed false:
@@ -279,11 +378,11 @@ class _WorkerHost:
             checkpointed = engine.checkpoint() is not None
         except OSError as exc:
             checkpointed = False
-            checkpoint_error = f"{type(exc).__name__}: {exc}"
+            checkpoint_error = _error_text(exc)
         evicted = self._evict_cold_lru(keep=graph_id)
         events = [
-            dict(event)
-            for event in self.recorder.events[events_before:]
+            event
+            for event in self.recorder.events
             if event.get("trace_id") == trace_id
         ]
         self.send(
@@ -292,12 +391,14 @@ class _WorkerHost:
                 "job_id": job_id,
                 "graph": graph_id,
                 "response": response,
-                "claims": engine.guarantee_claims(),
+                # Only the claim this answer made; the history is one
+                # "claims" task away.  Hop answers claim nothing.
+                "claim": None if hop else engine.last_claim(response["k"]),
                 "engine": self.engine_info(engine),
                 "checkpointed": checkpointed,
                 "checkpoint_error": checkpoint_error,
                 "evicted": evicted,
-                "worker_seconds": elapsed,
+                "worker_seconds": time.perf_counter() - started,
                 "events": events,
             },
         )
@@ -307,17 +408,46 @@ class _WorkerHost:
         if graph_id not in self.engines:
             self.send(
                 "evicted",
-                {"graph": graph_id, "resident": False, "checkpointed": False},
+                {
+                    "graph": graph_id,
+                    "resident": False,
+                    "evicted": False,
+                    "checkpointed": False,
+                },
             )
             return
         result = self._evict_engine(graph_id)
         result["resident"] = True
         self.send("evicted", result)
 
+    def handle_claims(self, task: Dict[str, Any]) -> None:
+        """Every claim the resident engine made, keyed by ``k``.
+
+        A graph that is not resident has no in-memory history (a warm
+        restart restores schedule positions, not snapshots), so it
+        reports ``resident: false`` and no claims.
+        """
+        graph_id = task["graph"]
+        engine = self.engines.get(graph_id)
+        claims = {} if engine is None else engine.guarantee_claims()
+        self.send(
+            "claims",
+            {
+                "graph": graph_id,
+                "resident": engine is not None,
+                "claims": {str(k): history for k, history in claims.items()},
+            },
+        )
+
     def handle_checkpoint(self, task: Dict[str, Any]) -> None:
+        count, failures = self.checkpoint_all()
         self.send(
             "checkpointed",
-            {"count": self.checkpoint_all(), "resident": list(self.engines)},
+            {
+                "count": count,
+                "checkpoint_failures": failures,
+                "resident": list(self.engines),
+            },
         )
 
     def close(self) -> None:
@@ -328,45 +458,79 @@ class _WorkerHost:
 
 def _cluster_worker(
     worker_id: int,
-    task_queue: Any,
-    result_queue: Any,
+    tasks: Any,
+    results: Any,
     mem_budget: Optional[int],
 ) -> None:
-    """Worker-process entry point: serial task loop until drained."""
-    host = _WorkerHost(worker_id, result_queue, mem_budget)
+    """Worker-process entry point: serial task loop until drained.
+
+    *tasks* and *results* are this worker's ends of its two pipes.  A
+    closed task pipe (the front end is gone) ends the loop without a
+    drain.
+    """
+    task_fd, result_fd = tasks.fileno(), results.fileno()
+    host = _WorkerHost(worker_id, result_fd, mem_budget)
     host.send("ready", {"worker_pid": os.getpid()})
     handlers: Dict[str, Callable[[Dict[str, Any]], None]] = {
         "register": host.handle_register,
         "job": host.handle_job,
         "evict": host.handle_evict,
+        "claims": host.handle_claims,
         "checkpoint": host.handle_checkpoint,
     }
     while True:
-        task = task_queue.get()
-        if task is None:
-            count = host.checkpoint_all()
+        received, task = _recv(task_fd)
+        if not received:
             host.close()
-            host.send("drained", {"checkpointed": count})
+            break
+        if task is None:
+            count, failures = host.checkpoint_all()
+            host.close()
+            host.send(
+                "drained",
+                {"checkpointed": count, "checkpoint_failures": failures},
+            )
             break
         kind, payload = task
         try:
             handlers[kind](payload)
-        except BaseException as exc:  # noqa: BLE001 - keep the worker alive
-            host.send(
-                "worker_error",
-                {"task": kind, "error": f"{type(exc).__name__}: {exc}"},
-            )
+        except Exception as exc:  # noqa: BLE001 - keep the worker alive
+            host.send("worker_error", {"task": kind, "error": _error_text(exc)})
+        host.recorder.events.clear()
+
+
+class _Link:
+    """The front end's side of one worker: process, pipes, buffers."""
+
+    def __init__(self, process: Any, tasks: Any, results: Any) -> None:
+        self.process = process
+        self.tasks = tasks  # write end of the task pipe (non-blocking)
+        self.results = results  # read end of the result pipe (non-blocking)
+        self.task_fd: int = tasks.fileno()
+        self.result_fd: int = results.fileno()
+        self.sentinel: int = process.sentinel
+        self.outbox: Deque[memoryview] = deque()
+        self.inbox = bytearray()
+        self.writing = False
+
+    def close_pipes(self) -> None:
+        self.outbox.clear()
+        self.tasks.close()
+        self.results.close()
 
 
 class WorkerSupervisor:
     """Front-end-side owner of the worker processes.
 
     Spawns ``workers`` processes (fork start method when available, so
-    registered graphs share pages until written), routes tasks to them,
-    polls the shared result queue, and — the crash-detection half of
-    the cluster contract — respawns dead workers and re-sends their
-    graph specs.  Job requeue is the front end's half: it knows which
-    jobs were in flight.
+    registered graphs share pages until written) and routes tasks to
+    them.  :meth:`attach` puts every worker's result pipe and sentinel
+    on the front end's event loop: results go to ``on_message``, and a
+    dead worker — the crash-detection half of the cluster contract —
+    is respawned with its graph specs re-sent before ``on_respawn``
+    lets the front end requeue its jobs (it knows which were in
+    flight).  Past ``max_restarts``, ``on_fatal`` gets the error
+    instead.
     """
 
     def __init__(
@@ -389,14 +553,19 @@ class WorkerSupervisor:
         self.obs = resolve_registry(registry)
         methods = mp.get_all_start_methods()
         self._context = mp.get_context("fork" if "fork" in methods else None)
-        self._result_queue: Any = self._context.Queue()
-        self._procs: List[Optional[mp.process.BaseProcess]] = [
-            None for _ in range(self.workers)
-        ]
-        self._task_queues: List[Any] = [None for _ in range(self.workers)]
+        self._links: List[Optional[_Link]] = [None] * self.workers
         self._registered: List[List[Dict[str, Any]]] = [
             [] for _ in range(self.workers)
         ]
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._on_message: Callable[[str, int, Dict[str, Any]], None] = (
+            lambda kind, worker_id, payload: None
+        )
+        self._on_respawn: Callable[[int], None] = lambda worker_id: None
+        self._on_fatal: Callable[[ClusterError], None] = lambda error: None
+        self._draining = False
+        self._exited: set = set()
+        self._all_exited: Optional[asyncio.Event] = None
         self._closed = False
         try:
             for worker_id in range(self.workers):
@@ -406,22 +575,163 @@ class WorkerSupervisor:
             raise
 
     def _spawn(self, worker_id: int) -> None:
-        task_queue = self._context.SimpleQueue()
+        task_reader, task_writer = self._context.Pipe(duplex=False)
+        result_reader, result_writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_cluster_worker,
-            args=(worker_id, task_queue, self._result_queue, self.mem_budget),
+            args=(worker_id, task_reader, result_writer, self.mem_budget),
             daemon=True,
             name=f"cluster-worker-{worker_id}",
         )
-        process.start()
-        self._task_queues[worker_id] = task_queue
-        self._procs[worker_id] = process
+        try:
+            process.start()
+        finally:
+            # The child holds its own copies; the parent keeping these
+            # would hide the worker's end of file and leak into later
+            # forks.
+            task_reader.close()
+            result_writer.close()
+        os.set_blocking(task_writer.fileno(), False)
+        os.set_blocking(result_reader.fileno(), False)
+        link = _Link(process, task_writer, result_reader)
+        self._links[worker_id] = link
+        if self._loop is not None:
+            self._watch(worker_id, link)
+
+    # -- event-loop wiring ----------------------------------------------
+    def attach(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        on_message: Callable[[str, int, Dict[str, Any]], None],
+        on_respawn: Callable[[int], None],
+        on_fatal: Callable[[ClusterError], None],
+    ) -> None:
+        """Serve every worker's pipes and sentinel from *loop*."""
+        self._loop = loop
+        self._on_message = on_message
+        self._on_respawn = on_respawn
+        self._on_fatal = on_fatal
+        for worker_id, link in enumerate(self._links):
+            if link is not None:
+                self._watch(worker_id, link)
+
+    def _watch(self, worker_id: int, link: _Link) -> None:
+        assert self._loop is not None
+        self._loop.add_reader(link.result_fd, self._on_readable, worker_id)
+        self._loop.add_reader(link.sentinel, self._on_exit, worker_id)
+        self._flush(link)
+
+    def _unwatch(self, link: _Link) -> None:
+        if self._loop is None:
+            return
+        self._loop.remove_reader(link.result_fd)
+        self._loop.remove_writer(link.task_fd)
+        link.writing = False
+        self._loop.remove_reader(link.sentinel)
+
+    def _read(self, worker_id: int, link: _Link) -> bool:
+        """Read one chunk and dispatch its messages; False at EOF or
+        when the pipe is empty."""
+        try:
+            chunk = os.read(link.result_fd, READ_CHUNK)
+        except BlockingIOError:
+            return False
+        except OSError:
+            chunk = b""
+        if not chunk:
+            # EOF: stop reading; the sentinel drives the respawn.
+            if self._loop is not None:
+                self._loop.remove_reader(link.result_fd)
+            return False
+        link.inbox += chunk
+        for kind, sender, payload in unframe(link.inbox):
+            if kind == "drained":
+                self.obs.count(
+                    "cluster.checkpoints", int(payload.get("checkpointed", 0))
+                )
+            self._on_message(kind, sender, payload)
+        return True
+
+    def _on_readable(self, worker_id: int) -> None:
+        link = self._links[worker_id]
+        if link is not None:
+            self._read(worker_id, link)
+
+    def _on_exit(self, worker_id: int) -> None:
+        """The worker's sentinel fired: deliver, reap, respawn."""
+        link = self._links[worker_id]
+        if link is None:
+            return
+        # Whatever the worker wrote before dying is still in the pipe:
+        # deliver it first, so a finished job is not requeued.
+        while self._read(worker_id, link):
+            pass
+        self._unwatch(link)
+        link.process.join(JOIN_TIMEOUT)
+        link.close_pipes()
+        self._links[worker_id] = None
+        if self._draining or self._closed:
+            self._note_exit(worker_id)
+            return
+        self.restarts += 1
+        if self.restarts > self.max_restarts:
+            self._note_exit(worker_id)
+            self._on_fatal(
+                ClusterError(
+                    f"cluster worker {worker_id} died (exitcode "
+                    f"{link.process.exitcode}) and the restart budget "
+                    f"({self.max_restarts}) is exhausted"
+                )
+            )
+            return
+        self._spawn(worker_id)
+        for payload in self._registered[worker_id]:
+            self.send(worker_id, "register", payload)
+        self.obs.count("cluster.worker_restarts")
+        self._on_respawn(worker_id)
+
+    def _note_exit(self, worker_id: int) -> None:
+        self._exited.add(worker_id)
+        if self._all_exited is not None and len(self._exited) == self.workers:
+            self._all_exited.set()
 
     # -- messaging ------------------------------------------------------
-    def send(self, worker_id: int, kind: str, payload: Dict[str, Any]) -> None:
+    def send(self, worker_id: int, kind: Optional[str], payload: Any = None) -> None:
+        """Queue one task for *worker_id* without blocking.
+
+        ``kind=None`` sends the drain marker.  A worker that is gone
+        drops the task; its respawn requeues what matters.
+        """
         if self._closed:
             raise StateError("WorkerSupervisor is closed")
-        self._task_queues[worker_id].put((kind, payload))
+        link = self._links[worker_id]
+        if link is None:
+            return
+        message = None if kind is None else (kind, payload)
+        link.outbox.append(memoryview(frame(message)))
+        self._flush(link)
+
+    def _flush(self, link: _Link) -> None:
+        while link.outbox:
+            try:
+                written = os.write(link.task_fd, link.outbox[0])
+            except BlockingIOError:
+                break
+            except OSError:
+                # The worker is gone; its sentinel handles the rest.
+                link.outbox.clear()
+                break
+            if written == len(link.outbox[0]):
+                link.outbox.popleft()
+            else:
+                link.outbox[0] = link.outbox[0][written:]
+        if self._loop is None or bool(link.outbox) == link.writing:
+            return
+        if link.outbox:
+            self._loop.add_writer(link.task_fd, self._flush, link)
+        else:
+            self._loop.remove_writer(link.task_fd)
+        link.writing = bool(link.outbox)
 
     def register(self, spec: GraphSpec) -> None:
         """Ship a graph spec to its shard's worker (re-sent on respawn)."""
@@ -429,88 +739,46 @@ class WorkerSupervisor:
         self._registered[spec.shard].append(payload)
         self.send(spec.shard, "register", payload)
 
-    def poll(self, timeout: float = 0.05) -> Optional[Message]:
-        """Next worker message, or ``None`` after *timeout* seconds."""
-        try:
-            return self._result_queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def check_crashed(self) -> List[int]:
-        """Respawn any dead workers; returns the respawned worker ids.
-
-        Each respawned worker gets a fresh task queue (the old one's
-        undelivered tasks are gone with the pipe) and its graph specs
-        re-sent; the caller must re-dispatch in-flight jobs.
-        """
-        respawned: List[int] = []
-        for worker_id, process in enumerate(self._procs):
-            if process is None or process.is_alive():
-                continue
-            self.restarts += 1
-            if self.restarts > self.max_restarts:
-                raise ClusterError(
-                    f"cluster worker {worker_id} died (exitcode "
-                    f"{process.exitcode}) and the restart budget "
-                    f"({self.max_restarts}) is exhausted"
-                )
-            process.join()
-            self._spawn(worker_id)
-            for payload in self._registered[worker_id]:
-                self.send(worker_id, "register", payload)
-            self.obs.count("cluster.worker_restarts")
-            respawned.append(worker_id)
-        return respawned
-
     def alive(self) -> List[bool]:
         return [
-            process is not None and process.is_alive()
-            for process in self._procs
+            link is not None and link.process.is_alive()
+            for link in self._links
         ]
 
     # -- shutdown -------------------------------------------------------
-    def drain(self, timeout: float = 30.0) -> int:
-        """Graceful shutdown: every worker checkpoints its resident
-        sketches and exits.  Returns the number of checkpoints written.
-        """
-        if self._closed:
-            return 0
-        for task_queue in self._task_queues:
-            if task_queue is not None:
-                task_queue.put(None)
-        deadline = time.monotonic() + timeout
-        drained = 0
-        checkpoints = 0
-        while drained < self.workers and time.monotonic() < deadline:
-            message = self.poll(timeout=0.1)
-            if message is None:
-                if not any(self.alive()) and self._result_queue.empty():
-                    break
-                continue
-            kind, worker_id, payload = message
-            if kind == "drained":
-                drained += 1
-                checkpoints += int(payload.get("checkpointed", 0))
-                self.obs.record("cluster_drained", worker=worker_id, **payload)
-        for process in self._procs:
-            if process is not None:
-                process.join(timeout=max(0.0, deadline - time.monotonic()))
-        self.obs.count("cluster.checkpoints", checkpoints)
-        return checkpoints
+    async def drain(self, timeout: float = 30.0) -> None:
+        """Graceful shutdown on the attached loop: every worker
+        checkpoints its resident sketches and exits (its "drained"
+        acknowledgement reaches ``on_message``).  Returns when every
+        worker has exited or *timeout* passes."""
+        if self._closed or self._loop is None:
+            return
+        self._draining = True
+        self._all_exited = asyncio.Event()
+        for worker_id, link in enumerate(self._links):
+            if link is None:
+                self._note_exit(worker_id)
+            else:
+                self.send(worker_id, None)
+        try:
+            await asyncio.wait_for(self._all_exited.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
 
     def close(self) -> None:
-        """Hard stop: terminate anything still alive, release queues."""
+        """Hard stop: terminate anything still alive, release pipes."""
         if self._closed:
             return
         self._closed = True
-        for process in self._procs:
-            if process is not None and process.is_alive():
-                process.terminate()
-        for process in self._procs:
-            if process is not None:
-                process.join(timeout=5.0)
-        self._procs = [None for _ in range(self.workers)]
-        self._task_queues = [None for _ in range(self.workers)]
+        links = [link for link in self._links if link is not None]
+        for link in links:
+            self._unwatch(link)
+            if link.process.is_alive():
+                link.process.terminate()
+        for link in links:
+            link.process.join(timeout=5.0)
+            link.close_pipes()
+        self._links = [None] * self.workers
 
     def __enter__(self) -> "WorkerSupervisor":
         return self

@@ -446,6 +446,12 @@ class SeedQueryEngine:
             for k, session in sorted(self._sessions.items())
         }
 
+    def last_claim(self, k: int) -> Optional[Dict[str, Any]]:
+        """The claim of the latest ``k`` query, as an entry of
+        :meth:`guarantee_claims` (``None`` before the first)."""
+        session = self._sessions.get(int(k))
+        return None if session is None else session.last_claim()
+
     def stats(self) -> Dict[str, Any]:
         """JSON-ready snapshot of the engine's state."""
         return {

@@ -270,6 +270,12 @@ async def _cluster_trial(ctx: TrialContext) -> TrialResult:
         )
         assert status == 200, f"evict failed: {status} {body}"
         warm = await run_job()
+        # The warm engine's claim history (a job reply carries only its
+        # own claim).
+        status, _, history = await client.request_raw(
+            "GET", "/graphs/trial/claims", headers=headers
+        )
+        assert status == 200, f"claims read failed: {status} {history}"
     finally:
         if client is not None:
             await client.close()
@@ -278,7 +284,10 @@ async def _cluster_trial(ctx: TrialContext) -> TrialResult:
         "worker engine did not warm-start from the persistent index"
     )
     groups = []
-    for k_text, claims in warm["claims"].items():
+    assert history["claims"][str(ctx.k)][-1] == warm["claim"], (
+        "the job's own claim is not the last of the engine's history"
+    )
+    for k_text, claims in history["claims"].items():
         k = int(k_text)  # JSON object keys arrive as strings
         groups.append(
             ClaimGroup(

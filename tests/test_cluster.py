@@ -23,7 +23,9 @@ from __future__ import annotations
 import asyncio
 import errno
 import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -144,7 +146,16 @@ class TestJobLifecycle:
                 assert result["response"]["satisfied"]
                 assert result["response"]["seeds"]
                 assert result["checkpointed"]
-                assert result["claims"]  # per-k guarantee claims ship back
+                # The reply carries its own claim; the history is a
+                # separate read whose last k=2 entry is that claim.
+                assert result["claim"]["query"] == (
+                    result["response"]["queries_made"]
+                )
+                status, _, claims = await client.request_raw(
+                    "GET", "/graphs/g/claims", headers=headers
+                )
+                assert status == 200 and claims["resident"]
+                assert claims["claims"]["2"][-1] == result["claim"]
                 status, _, body = await client.request_raw(
                     "GET", f"/jobs/{job_id}", headers=headers
                 )
@@ -997,3 +1008,305 @@ class TestFailureModes:
             name.startswith("cluster.job_seconds")
             for name in registry.histogram_values()
         )
+
+
+# ----------------------------------------------------------------------
+# The result path: per-worker pipes read by the event loop
+# ----------------------------------------------------------------------
+async def _healthz_until(client, predicate, timeout=20.0):
+    """Poll ``/healthz`` until *predicate* holds; returns the body."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while True:
+        status, _, health = await client.request_raw("GET", "/healthz")
+        assert status == 200, health
+        if predicate(health) or loop.time() > deadline:
+            return health
+        await asyncio.sleep(0.05)
+
+
+class TestResultPath:
+    def test_idle_worker_killed_is_respawned(self, tmp_path):
+        """A SIGKILL with no job in flight is seen through the worker's
+        sentinel alone: the worker is respawned and the next job
+        answers."""
+        async def scenario():
+            front = await _started_frontend(state_dir=tmp_path, workers=1)
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(make_graph(), "g", tenant="t", seed=3)
+                status, _, first = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, first
+                os.kill(first["engine"]["worker_pid"], signal.SIGKILL)
+                health = await _healthz_until(
+                    client, lambda h: h["restarts"] == 1 and all(h["alive"])
+                )
+                assert health["restarts"] == 1 and health["status"] == "ok"
+                status, _, second = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, second
+                assert second["requeues"] == 0
+                assert second["engine"]["worker_pid"] != (
+                    first["engine"]["worker_pid"]
+                )
+                assert second["engine"]["loaded_from_index"]
+                assert second["response"]["seeds"] == (
+                    first["response"]["seeds"]
+                )
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        run(scenario())
+
+    def test_job_done_written_before_exit_is_delivered(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that replies and then dies at once: the reply was on
+        the pipe before the exit, so the job finishes without a
+        requeue and the worker is respawned."""
+        from repro.serve.cluster.worker import _WorkerHost
+
+        original = _WorkerHost.handle_job
+        marker = tmp_path / "exited-once"
+
+        def reply_then_exit(host, task):
+            first = not marker.exists()
+            marker.touch()
+            original(host, task)
+            if first:
+                os._exit(0)
+
+        monkeypatch.setattr(_WorkerHost, "handle_job", reply_then_exit)
+
+        async def scenario():
+            front = await _started_frontend(state_dir=tmp_path, workers=1)
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(make_graph(), "g", tenant="t", seed=3)
+                status, _, first = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, first
+                assert first["requeues"] == 0
+                assert marker.exists()
+                health = await _healthz_until(
+                    client, lambda h: h["restarts"] == 1 and all(h["alive"])
+                )
+                assert health["restarts"] == 1
+                status, _, second = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, second
+                assert second["requeues"] == 0
+                assert second["response"]["seeds"] == (
+                    first["response"]["seeds"]
+                )
+                return front.stats()["counters"]
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        counters = run(scenario())
+        assert counters.get("cluster.jobs_requeued", 0) == 0
+
+    def test_large_register_while_results_are_unread(self, tmp_path):
+        """The worker blocks on a full result pipe while the front end
+        owes it a task larger than the task pipe: the front end must
+        buffer the task and keep reading, not block on the write."""
+        from repro.serve.cluster.worker import frame
+
+        big = assign_wc_weights(power_law_graph(6000, 4, seed=4))
+
+        async def scenario():
+            front = await _started_frontend(state_dir=tmp_path, workers=1)
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(make_graph(), "g", tenant="t", seed=3)
+                status, _, body = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, body
+                status, _, claims = await client.request_raw(
+                    "GET", "/graphs/g/claims", headers=headers
+                )
+                assert status == 200, claims
+                requests = 1000
+                reply = len(frame(("claims", 0, claims)))
+                assert requests * reply > 1 << 16
+                # No await from here to the registration: the loop reads
+                # nothing while the worker answers all of these and then
+                # blocks on its full result pipe.
+                for _ in range(requests):
+                    front._supervisor.send(0, "claims", {"graph": "t/g"})
+                time.sleep(0.5)
+                described = front.register_graph(
+                    big, "big", tenant="t", seed=5
+                )
+                assert described["shard"] == 0
+                status, _, body = await asyncio.wait_for(
+                    _submit_and_wait(client, "big", headers, rr_budget=400),
+                    timeout=60,
+                )
+                assert status == 200, body
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        payload_bytes = len(frame(("register", {"graph": big})))
+        assert payload_bytes > 1 << 16
+        run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Failed checkpoints outside the job boundary
+# ----------------------------------------------------------------------
+def _enospc_on_call(monkeypatch, failing_call):
+    """Make the *failing_call*-th ``SeedQueryEngine.checkpoint`` in each
+    process raise ENOSPC (patched before the workers fork)."""
+    from repro.serve import SeedQueryEngine
+
+    original = SeedQueryEngine.checkpoint
+    calls = []
+
+    def checkpoint(engine):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return original(engine)
+
+    monkeypatch.setattr(SeedQueryEngine, "checkpoint", checkpoint)
+
+
+class TestCheckpointFailures:
+    def test_lru_eviction_checkpoint_failure_keeps_engine(
+        self, tmp_path, monkeypatch
+    ):
+        # Call 1: g0's job boundary; 2: g1's job boundary; 3: the LRU
+        # eviction of g0 after g1's job.
+        _enospc_on_call(monkeypatch, 3)
+        registry = MetricsRegistry()
+
+        async def scenario():
+            front = await _started_frontend(
+                workers=1, worker_mem_budget=1, state_dir=tmp_path,
+                registry=registry,
+            )
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                for i in range(2):
+                    front.register_graph(
+                        make_graph(i), f"g{i}", tenant="t", seed=i + 1
+                    )
+                status, _, first = await _submit_and_wait(
+                    client, "g0", headers
+                )
+                assert status == 200, first
+                status, _, second = await asyncio.wait_for(
+                    _submit_and_wait(client, "g1", headers), timeout=30
+                )
+                assert status == 200, second
+                assert second["engine"]["resident"] == ["t/g0", "t/g1"]
+                # g0 never left memory: its next job needs no reload.
+                status, _, again = await _submit_and_wait(
+                    client, "g0", headers
+                )
+                assert status == 200, again
+                assert not again["engine"]["loaded_from_index"]
+                assert again["response"]["seeds"] == (
+                    first["response"]["seeds"]
+                )
+                return front.stats()
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        stats = run(scenario())
+        assert registry.counter("cluster.checkpoint_failures").value == 1
+        assert stats["jobs"] == {"done": 3}
+        views = {view["name"]: view for view in stats["graphs"]}
+        assert views["g0"]["evictions"] == 0
+
+    def test_evict_checkpoint_failure_is_reported_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Call 1: the job boundary; 2: the requested eviction.
+        _enospc_on_call(monkeypatch, 2)
+        registry = MetricsRegistry()
+
+        async def scenario():
+            front = await _started_frontend(
+                state_dir=tmp_path, registry=registry
+            )
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(make_graph(), "g", tenant="t", seed=3)
+                status, _, first = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, first
+                status, _, body = await asyncio.wait_for(
+                    client.request_raw(
+                        "POST", "/graphs/g/evict", headers=headers
+                    ),
+                    timeout=10,
+                )
+                assert status == 500, body
+                assert body["evicted"] is False
+                assert body["checkpointed"] is False
+                assert os.strerror(errno.ENOSPC) in body["checkpoint_error"]
+                status, _, body = await client.request_raw(
+                    "GET", "/graphs", headers=headers
+                )
+                view = body["graphs"][0]
+                assert view["resident"] and view["evictions"] == 0
+                status, _, again = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, again
+                assert not again["engine"]["loaded_from_index"]
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        run(scenario())
+        assert registry.counter("cluster.checkpoint_failures").value == 1
+
+    def test_drain_checkpoint_failure_still_drains(
+        self, tmp_path, monkeypatch
+    ):
+        # Call 1: the job boundary; 2: the drain checkpoint.
+        _enospc_on_call(monkeypatch, 2)
+        recorder = TraceRecorder()
+        registry = MetricsRegistry(sink=recorder)
+
+        async def scenario():
+            front = await _started_frontend(
+                state_dir=tmp_path, registry=registry
+            )
+            client = await ServeClient.connect(front.host, front.port)
+            try:
+                front.register_graph(make_graph(), "g", tenant="t", seed=3)
+                status, _, body = await _submit_and_wait(
+                    client, "g", {"X-Tenant": "t"}
+                )
+                assert status == 200, body
+            finally:
+                await client.close()
+                await asyncio.wait_for(front.close(drain=True), timeout=30)
+
+        run(scenario())
+        drained = [e for e in recorder.events if e["type"] == "cluster_drained"]
+        assert len(drained) == 2
+        failures = [f for e in drained for f in e["checkpoint_failures"]]
+        assert [f["graph"] for f in failures] == ["t/g"]
+        assert os.strerror(errno.ENOSPC) in failures[0]["checkpoint_error"]
+        assert registry.counter("cluster.checkpoint_failures").value == 1

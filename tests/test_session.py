@@ -35,6 +35,18 @@ class TestDeltaSchedule:
         assert len(session.history) == 2
         assert session.queries_made == 2
 
+    def test_claims_continue_the_restored_numbering(self, session):
+        assert session.last_claim() is None
+        session.restore_schedule(2)
+        session.extend(400)
+        session.query()
+        session.query()
+        claims = session.guarantee_claims()
+        assert [c["query"] for c in claims] == [3, 4]
+        assert claims[0]["query_delta"] == pytest.approx(0.1 / 8)
+        assert session.last_claim() == claims[-1]
+        assert claims[-1]["query"] == session.queries_made
+
     def test_later_queries_pay_for_tighter_delta(self, medium_graph):
         """With the same data, a smaller per-query delta gives a lower
         alpha — the price of the joint guarantee."""
