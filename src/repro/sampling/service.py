@@ -48,6 +48,7 @@ import math
 import multiprocessing as mp
 import os
 import queue
+import signal
 import time
 import traceback
 from collections import deque
@@ -264,6 +265,9 @@ def _service_worker(
     The parent records the buffered spans into its own sink, which is
     what stitches worker-side work into the request's trace tree.
     """
+    # A parent's SIGTERM handler is inherited through fork; a pool
+    # worker holds nothing worth a clean exit, so SIGTERM ends it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     graph, segments = _attach_graph(spec)
     try:
         while True:

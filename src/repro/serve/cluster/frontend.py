@@ -24,7 +24,7 @@ graph registry, the job table, and the admission decisions:
   claim its own answer made (``claim``), so replies stay the same size
   however long the engine has served.
 * **Crash recovery**: the event loop reads every worker's result pipe
-  and watches its process sentinel (:meth:`WorkerSupervisor.attach`);
+  and watches the worker process's exit (:meth:`WorkerSupervisor.attach`);
   when a worker dies, the results it had already written are
   delivered, then its unfinished jobs are re-dispatched (with any
   fault injection stripped) onto the respawned worker, which
@@ -373,6 +373,12 @@ class ClusterFrontend(JsonHTTPServer):
         elif kind == "worker_error":
             self.obs.count("cluster.worker_errors")
             self.obs.record("cluster_worker_error", worker=worker_id, **payload)
+            # A job whose task raised gets no other reply.
+            job = self._jobs.get(payload.get("job_id") or "")
+            if job is not None and job.status not in TERMINAL:
+                job.error = payload.get("error", "worker failure")
+                self._finish_job(job, "failed")
+                self.obs.count("cluster.jobs_failed")
         elif kind in ("ready", "registered", "checkpointed", "drained"):
             failures = payload.get("checkpoint_failures", ())
             if failures:

@@ -29,22 +29,27 @@ tuple (:func:`frame`):
 
 The worker reads and writes its ends blocking: a result is on the pipe
 when ``send`` returns, with no feeder thread in between.  The front
-end's ends are non-blocking and live on its event loop
-(:meth:`WorkerSupervisor.attach`): the result pipe and the process's
-``sentinel`` are read with ``loop.add_reader``, and a task that does
-not fit the pipe waits in an outbox flushed by ``loop.add_writer`` — a
-worker blocked on a full result pipe must never wait on a front end
-blocked writing to it.
+end's ends live on its event loop (:meth:`WorkerSupervisor.attach`):
+the result pipe is read with ``loop.add_reader``, and the task pipe is
+an asyncio write-pipe transport, which buffers what the pipe cannot
+take yet — a worker blocked on a full result pipe must never wait on a
+front end blocked writing to it.
 
-Crash story: a worker's exit makes its sentinel readable.  The
-supervisor then reads what the dead worker had already written, reaps
-the process, respawns it with **fresh** pipes, re-sends its graph
-specs, and tells the front end, which re-dispatches the worker's
-unfinished jobs.  Because a worker checkpoints each graph's sketch
-index at job boundaries, the respawned engine warm-restarts from the
-last completed job's stream position and the re-run job consumes the
-exact RR-set stream the crashed run would have — bitwise-identical
-answers (the multi-process extension of the warm-restart oracle).
+Crash story: the supervisor watches each worker's pidfd (its
+``sentinel`` where there is no pidfd), which becomes readable when the
+process itself exits.  A sentinel alone is not enough: it is a pipe
+end, and the sampling-pool children a worker forks inherit it, so it
+stays open while they live.  Each worker leads its own process group,
+and once it is dead the supervisor reads what it had already written,
+kills what is left of the group (those pool children, which would
+otherwise outlive it holding its pipes), reaps it, respawns it with
+**fresh** pipes, re-sends its graph specs, and tells the front end,
+which re-dispatches the worker's unfinished jobs.  Because a worker
+checkpoints each graph's sketch index at job boundaries, the respawned
+engine warm-restarts from the last completed job's stream position
+and the re-run job consumes the exact RR-set stream the crashed run
+would have — bitwise-identical answers (the multi-process extension
+of the warm-restart oracle).
 
 Memory story: each graph carries its own budget (admission control —
 a job on an at-budget graph is rejected with ``mem_budget`` and the
@@ -65,10 +70,12 @@ import asyncio
 import multiprocessing as mp
 import os
 import pickle
+import signal
 import struct
+import sys
 import time
-from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import ParameterError, ReproError, StateError
 from repro.obs import MetricsRegistry, resolve_registry
@@ -82,7 +89,8 @@ from repro.serve.engine import SeedQueryEngine
 MEM_BUDGET_RETRY_AFTER = 5
 
 #: Upper bound on reaping a worker whose sentinel fired: the exit can
-#: close the process's fds before ``waitpid`` reports it.
+#: close the process's fds before ``waitpid`` reports it.  (A pidfd is
+#: readable only once the process can be reaped.)
 JOIN_TIMEOUT = 5.0
 
 #: Bytes read from a result pipe per readiness callback.
@@ -122,26 +130,20 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _read_exact(fd: int, size: int) -> Optional[bytes]:
-    """*size* bytes from a blocking fd, or ``None`` at end of file."""
+def _read_exact(fd: int, size: int) -> bytes:
+    """*size* bytes from a blocking fd."""
     chunks = bytearray()
     while len(chunks) < size:
         chunk = os.read(fd, size - len(chunks))
         if not chunk:
-            return None
+            raise EOFError("task pipe closed")
         chunks += chunk
     return bytes(chunks)
 
 
-def _recv(fd: int) -> Tuple[bool, Any]:
-    """``(True, message)``, or ``(False, None)`` once the writer closed."""
-    header = _read_exact(fd, _HEADER.size)
-    if header is None:
-        return False, None
-    body = _read_exact(fd, _HEADER.unpack(header)[0])
-    if body is None:
-        return False, None
-    return True, pickle.loads(body)
+def _recv(fd: int) -> Any:
+    (size,) = _HEADER.unpack(_read_exact(fd, _HEADER.size))
+    return pickle.loads(_read_exact(fd, size))
 
 
 def _spec_payload(spec: GraphSpec) -> Dict[str, Any]:
@@ -464,10 +466,17 @@ def _cluster_worker(
 ) -> None:
     """Worker-process entry point: serial task loop until drained.
 
-    *tasks* and *results* are this worker's ends of its two pipes.  A
-    closed task pipe (the front end is gone) ends the loop without a
-    drain.
+    *tasks* and *results* are this worker's ends of its two pipes.
     """
+    # A daemonic process may not fork, yet a graph with
+    # sampler_workers > 1 runs a SamplingPool here.  The pool's
+    # children cannot be orphaned: the supervisor made this process a
+    # group leader and stops the group when it dies, and SIGTERM (what
+    # multiprocessing sends a daemonic child when the front end's
+    # interpreter exits) leaves through SystemExit, whose exit handling
+    # terminates them.
+    mp.current_process().daemon = False
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     task_fd, result_fd = tasks.fileno(), results.fileno()
     host = _WorkerHost(worker_id, result_fd, mem_budget)
     host.send("ready", {"worker_pid": os.getpid()})
@@ -479,10 +488,7 @@ def _cluster_worker(
         "checkpoint": host.handle_checkpoint,
     }
     while True:
-        received, task = _recv(task_fd)
-        if not received:
-            host.close()
-            break
+        task = _recv(task_fd)
         if task is None:
             count, failures = host.checkpoint_all()
             host.close()
@@ -495,28 +501,72 @@ def _cluster_worker(
         try:
             handlers[kind](payload)
         except Exception as exc:  # noqa: BLE001 - keep the worker alive
-            host.send("worker_error", {"task": kind, "error": _error_text(exc)})
+            host.send(
+                "worker_error",
+                {
+                    "task": kind,
+                    "job_id": payload.get("job_id"),
+                    "error": _error_text(exc),
+                },
+            )
         host.recorder.events.clear()
 
 
+def _exit_on_sigterm(signum: int, frame: Any) -> None:
+    sys.exit(128 + signum)
+
+
 class _Link:
-    """The front end's side of one worker: process, pipes, buffers."""
+    """The front end's side of one worker: process, pipes, exit watch."""
 
-    def __init__(self, process: Any, tasks: Any, results: Any) -> None:
+    def __init__(
+        self,
+        process: Any,
+        tasks: Any,
+        results: Any,
+        pidfd: Optional[int],
+        pgid: Optional[int],
+    ) -> None:
         self.process = process
-        self.tasks = tasks  # write end of the task pipe (non-blocking)
+        self.tasks = tasks  # write end of the task pipe
         self.results = results  # read end of the result pipe (non-blocking)
-        self.task_fd: int = tasks.fileno()
         self.result_fd: int = results.fileno()
-        self.sentinel: int = process.sentinel
-        self.outbox: Deque[memoryview] = deque()
+        self.pidfd = pidfd
+        # Readable once the worker has exited.
+        self.exit_fd: int = process.sentinel if pidfd is None else pidfd
+        self.pgid = pgid
         self.inbox = bytearray()
-        self.writing = False
+        # Frames sent before the task pipe's transport is connected.
+        self.pending: List[bytes] = []
+        self.transport: Optional[asyncio.WriteTransport] = None
+        self.connecting: Optional["asyncio.Task[None]"] = None
+        self.closed = False
 
-    def close_pipes(self) -> None:
-        self.outbox.clear()
-        self.tasks.close()
+    def stop_group(self) -> None:
+        """SIGTERM the worker's process group: the worker, if alive,
+        and the sampling-pool children it forked, which do not die with
+        it and would keep its pipes open.  The group's resource tracker
+        ignores SIGTERM; it outlives them and unlinks the shared memory
+        they leaked."""
+        if self.pgid is None:
+            return
+        try:
+            os.killpg(self.pgid, signal.SIGTERM)
+        except (ProcessLookupError, PermissionError):
+            pass
+
+    def close(self) -> None:
+        self.closed = True
+        self.pending.clear()
+        if self.transport is not None:
+            if not self.transport.is_closing():
+                self.transport.abort()  # closes the pipe
+        elif self.connecting is None or self.connecting.done():
+            self.tasks.close()
+        # Otherwise the pending connect closes the transport it gets.
         self.results.close()
+        if self.pidfd is not None:
+            os.close(self.pidfd)
 
 
 class WorkerSupervisor:
@@ -587,13 +637,22 @@ class WorkerSupervisor:
             process.start()
         finally:
             # The child holds its own copies; the parent keeping these
-            # would hide the worker's end of file and leak into later
-            # forks.
+            # would leak them into later forks.
             task_reader.close()
             result_writer.close()
-        os.set_blocking(task_writer.fileno(), False)
+        # Before any task is sent, so before the worker can fork a
+        # sampling pool: its pool children join its group.
+        try:
+            os.setpgid(process.pid, process.pid)
+            pgid: Optional[int] = process.pid
+        except OSError:
+            pgid = None
+        try:
+            pidfd: Optional[int] = os.pidfd_open(process.pid)
+        except (AttributeError, OSError):  # no pidfd: watch the sentinel
+            pidfd = None
         os.set_blocking(result_reader.fileno(), False)
-        link = _Link(process, task_writer, result_reader)
+        link = _Link(process, task_writer, result_reader, pidfd, pgid)
         self._links[worker_id] = link
         if self._loop is not None:
             self._watch(worker_id, link)
@@ -606,7 +665,7 @@ class WorkerSupervisor:
         on_respawn: Callable[[int], None],
         on_fatal: Callable[[ClusterError], None],
     ) -> None:
-        """Serve every worker's pipes and sentinel from *loop*."""
+        """Serve every worker's pipes and exit from *loop*."""
         self._loop = loop
         self._on_message = on_message
         self._on_respawn = on_respawn
@@ -618,18 +677,30 @@ class WorkerSupervisor:
     def _watch(self, worker_id: int, link: _Link) -> None:
         assert self._loop is not None
         self._loop.add_reader(link.result_fd, self._on_readable, worker_id)
-        self._loop.add_reader(link.sentinel, self._on_exit, worker_id)
-        self._flush(link)
+        self._loop.add_reader(link.exit_fd, self._on_exit, worker_id)
+        link.connecting = self._loop.create_task(self._connect(link))
+
+    async def _connect(self, link: _Link) -> None:
+        """Put the task pipe on a write transport; send what waited."""
+        assert self._loop is not None
+        transport, _ = await self._loop.connect_write_pipe(
+            asyncio.Protocol, link.tasks
+        )
+        if link.closed:
+            transport.abort()
+            return
+        link.transport = transport
+        for data in link.pending:
+            transport.write(data)
+        link.pending.clear()
 
     def _unwatch(self, link: _Link) -> None:
         if self._loop is None:
             return
         self._loop.remove_reader(link.result_fd)
-        self._loop.remove_writer(link.task_fd)
-        link.writing = False
-        self._loop.remove_reader(link.sentinel)
+        self._loop.remove_reader(link.exit_fd)
 
-    def _read(self, worker_id: int, link: _Link) -> bool:
+    def _read(self, link: _Link) -> bool:
         """Read one chunk and dispatch its messages; False at EOF or
         when the pipe is empty."""
         try:
@@ -639,7 +710,7 @@ class WorkerSupervisor:
         except OSError:
             chunk = b""
         if not chunk:
-            # EOF: stop reading; the sentinel drives the respawn.
+            # EOF: stop reading; the exit watch drives the respawn.
             if self._loop is not None:
                 self._loop.remove_reader(link.result_fd)
             return False
@@ -655,20 +726,21 @@ class WorkerSupervisor:
     def _on_readable(self, worker_id: int) -> None:
         link = self._links[worker_id]
         if link is not None:
-            self._read(worker_id, link)
+            self._read(link)
 
     def _on_exit(self, worker_id: int) -> None:
-        """The worker's sentinel fired: deliver, reap, respawn."""
+        """The worker exited: deliver, kill its pool, reap, respawn."""
         link = self._links[worker_id]
         if link is None:
             return
         # Whatever the worker wrote before dying is still in the pipe:
         # deliver it first, so a finished job is not requeued.
-        while self._read(worker_id, link):
+        while self._read(link):
             pass
         self._unwatch(link)
+        link.stop_group()
         link.process.join(JOIN_TIMEOUT)
-        link.close_pipes()
+        link.close()
         self._links[worker_id] = None
         if self._draining or self._closed:
             self._note_exit(worker_id)
@@ -707,31 +779,11 @@ class WorkerSupervisor:
         link = self._links[worker_id]
         if link is None:
             return
-        message = None if kind is None else (kind, payload)
-        link.outbox.append(memoryview(frame(message)))
-        self._flush(link)
-
-    def _flush(self, link: _Link) -> None:
-        while link.outbox:
-            try:
-                written = os.write(link.task_fd, link.outbox[0])
-            except BlockingIOError:
-                break
-            except OSError:
-                # The worker is gone; its sentinel handles the rest.
-                link.outbox.clear()
-                break
-            if written == len(link.outbox[0]):
-                link.outbox.popleft()
-            else:
-                link.outbox[0] = link.outbox[0][written:]
-        if self._loop is None or bool(link.outbox) == link.writing:
-            return
-        if link.outbox:
-            self._loop.add_writer(link.task_fd, self._flush, link)
-        else:
-            self._loop.remove_writer(link.task_fd)
-        link.writing = bool(link.outbox)
+        data = frame(None if kind is None else (kind, payload))
+        if link.transport is None:
+            link.pending.append(data)
+        elif not link.transport.is_closing():
+            link.transport.write(data)
 
     def register(self, spec: GraphSpec) -> None:
         """Ship a graph spec to its shard's worker (re-sent on respawn)."""
@@ -766,18 +818,19 @@ class WorkerSupervisor:
             pass
 
     def close(self) -> None:
-        """Hard stop: terminate anything still alive, release pipes."""
+        """Hard stop: kill anything still alive, release pipes."""
         if self._closed:
             return
         self._closed = True
         links = [link for link in self._links if link is not None]
         for link in links:
             self._unwatch(link)
+            link.stop_group()
             if link.process.is_alive():
-                link.process.terminate()
+                link.process.kill()
         for link in links:
             link.process.join(timeout=5.0)
-            link.close_pipes()
+            link.close()
         self._links = [None] * self.workers
 
     def __enter__(self) -> "WorkerSupervisor":

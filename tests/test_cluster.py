@@ -784,6 +784,35 @@ class TestFailureModes:
 
         run(scenario())
 
+    def test_unexpected_job_error_fails_the_job(self, tmp_path, monkeypatch):
+        """A job task that raises outside the engine's own errors gets a
+        ``worker_error`` reply, which must finish the job rather than
+        leave it queued."""
+        from repro.serve.cluster.worker import _WorkerHost
+
+        def broken_engine(host, graph_id):
+            raise RuntimeError("no engine today")
+
+        monkeypatch.setattr(_WorkerHost, "_engine", broken_engine)
+
+        async def scenario():
+            front = await _started_frontend(state_dir=tmp_path, workers=1)
+            client = await ServeClient.connect(front.host, front.port)
+            try:
+                front.register_graph(make_graph(), "g", tenant="t")
+                status, _, body = await _submit_and_wait(
+                    client, "g", {"X-Tenant": "t"}, wait=20
+                )
+                assert status == 500, body
+                assert "no engine today" in body["error"]
+                return front.stats()
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        stats = run(scenario())
+        assert stats["jobs"] == {"failed": 1}
+
     def test_crash_after_journal_only_checkpoints_requeues_bitwise(
         self, tmp_path
     ):
@@ -1162,6 +1191,110 @@ class TestResultPath:
         payload_bytes = len(frame(("register", {"graph": big})))
         assert payload_bytes > 1 << 16
         run(scenario())
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process groups from /proc"
+    )
+    def test_crash_with_a_sampling_pool_is_seen_and_requeued(self, tmp_path):
+        """A worker that dies with sampling-pool children alive: the
+        children inherited its pipes and would keep them open forever,
+        so the death must be seen through the process itself.  The
+        children are killed with it, and the job is requeued and
+        answered."""
+        async def scenario():
+            front = await _started_frontend(
+                state_dir=tmp_path, workers=1, fault_injection=True
+            )
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(
+                    make_graph(), "g", tenant="t", seed=3, sampler_workers=2
+                )
+                status, _, first = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, first
+                crashed_pid = first["engine"]["worker_pid"]
+                assert _live_group_members(crashed_pid)  # worker + pool
+                status, _, second = await asyncio.wait_for(
+                    _submit_and_wait(
+                        client, "g", headers, k=3, inject_crash=True
+                    ),
+                    timeout=60,
+                )
+                assert status == 200, second
+                assert second["requeues"] == 1
+                assert second["engine"]["worker_pid"] != crashed_pid
+                assert second["engine"]["loaded_from_index"]
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10
+                while _live_group_members(crashed_pid):
+                    assert loop.time() < deadline, "pool children outlived it"
+                    await asyncio.sleep(0.05)
+                status, _, health = await client.request_raw(
+                    "GET", "/healthz", headers=headers
+                )
+                assert health["restarts"] == 1 and health["status"] == "ok"
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        run(scenario())
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process groups from /proc"
+    )
+    def test_sigterm_takes_the_sampling_pool_down(self, tmp_path, monkeypatch):
+        """A worker told to stop with SIGTERM (what multiprocessing sends
+        its daemonic children when the front end's interpreter exits)
+        terminates its pool children itself, with no supervisor help."""
+        from repro.serve.cluster.worker import _Link
+
+        monkeypatch.setattr(_Link, "stop_group", lambda link: None)
+
+        async def scenario():
+            front = await _started_frontend(state_dir=tmp_path, workers=1)
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(
+                    make_graph(), "g", tenant="t", seed=3, sampler_workers=2
+                )
+                status, _, first = await _submit_and_wait(
+                    client, "g", headers
+                )
+                assert status == 200, first
+                pid = first["engine"]["worker_pid"]
+                assert len(_live_group_members(pid)) >= 3  # worker + pool
+                os.kill(pid, signal.SIGTERM)
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10
+                while _live_group_members(pid):
+                    assert loop.time() < deadline, "pool children outlived it"
+                    await asyncio.sleep(0.05)
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        run(scenario())
+
+
+def _live_group_members(pgid: int) -> list:
+    """Pids of the processes in group *pgid* that are not zombies."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # After the command: state, ppid, pgrp.
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
 
 
 # ----------------------------------------------------------------------
