@@ -41,8 +41,8 @@ process itself exits.  A sentinel alone is not enough: it is a pipe
 end, and the sampling-pool children a worker forks inherit it, so it
 stays open while they live.  Each worker leads its own process group,
 and once it is dead the supervisor reads what it had already written,
-kills what is left of the group (those pool children, which would
-otherwise outlive it holding its pipes), reaps it, respawns it with
+sends what is left of the group SIGTERM (those pool children, which
+would otherwise outlive it holding its pipes), reaps it, respawns it with
 **fresh** pipes, re-sends its graph specs, and tells the front end,
 which re-dispatches the worker's unfinished jobs.  Because a worker
 checkpoints each graph's sketch index at job boundaries, the respawned
