@@ -10,15 +10,33 @@ Beyond the seed set itself, the OPIM⁺ upper bound (paper, Eq. 10) needs
 per-prefix information: for every greedy prefix ``S_i*`` (``0 <= i <=
 k``), the coverage ``Lambda(S_i*)`` and the sum of the ``k`` largest
 marginal coverages with respect to ``S_i*``.  Both fall out of the
-greedy loop for free:
+greedy loop: at the start of iteration ``i`` the marginal-coverage
+vector *is* the node-coverage vector after removing the RR sets covered
+by ``S_i*``.
 
-* at the start of iteration ``i`` the marginal-coverage vector *is* the
-  node-coverage vector after removing the RR sets covered by ``S_i*``;
-* the top-k marginals take ``O(n + k log k)`` via ``numpy.partition``
-  and a sort of the ``k`` survivors.
+Each prefix reads its top-k and its argmax from a *candidate pool*, not
+from all ``n`` marginals.  On a refresh, ``floor`` is the ``2k``-th
+largest marginal and the pool is every node whose marginal is at least
+``floor``, in node-id order.  The pool is exact while at least ``k`` of
+its members are still at or above ``floor``:
 
-Total cost is ``O(k * n + sum |R|)``, matching the paper's Table 1 row
-for the improved OPIM via ``sigma_hat_u``.
+* marginals never rise, so a node outside the pool stays below
+  ``floor`` for good, and the ``k`` largest marginals and the maximum
+  all lie in the pool;
+* a picked node's marginal drops to 0, since every RR set it belongs to
+  is now covered, so with ``floor >= 1`` no selected node can be the
+  argmax again;
+* the pool is in node-id order, so its first maximum is the
+  smallest-id one, as over the full vector.
+
+Members that fall below ``floor`` leave the pool; when fewer than ``k``
+remain the pool is refreshed.  A prefix whose floor would be 0 (fewer
+than ``2k`` nodes with a positive marginal, or ``2k >= n``) reads the
+full vector, with selected nodes masked out of the argmax.  A pooled
+prefix costs ``O(pool + k log k)`` plus its marginal updates; a refresh
+or a full-vector prefix costs ``O(n)``.  Total cost stays within
+``O(k * n + sum |R|)``, the paper's Table 1 row for the improved OPIM
+via ``sigma_hat_u``.
 
 The pass does not depend on ``k`` except through its length: ties go
 to the smallest node id, so a ``K``-seed pass picks, in order, the
@@ -34,7 +52,7 @@ serving layer pays for greedy once per sketch instead of once per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -128,6 +146,31 @@ def _top_k_cumsum(values: np.ndarray, k: int, out: np.ndarray) -> None:
     np.cumsum(np.sort(top)[::-1], out=out)
 
 
+_NO_POOL = np.empty(0, dtype=np.intp)
+
+
+def _candidate_pool(cov: np.ndarray, k: int) -> Tuple[np.ndarray, int]:
+    """``(pool, floor)``: *floor* is the ``2k``-th largest marginal and
+    *pool* the nodes whose marginal is at least *floor*, in node-id
+    order.  Floor 0 and an empty pool when that marginal is 0 or
+    ``2k >= n``: the prefix reads the full vector.
+
+    The floor comes from a histogram of the marginals, O(n + max cov),
+    rather than ``np.partition``, whose introselect slows down several
+    times over on the long runs of equal small marginals that late
+    prefixes hold.
+    """
+    n = cov.shape[0]
+    if 2 * k >= n:
+        return _NO_POOL, 0
+    # at_least[j]: nodes whose marginal is >= max(cov) - j.
+    at_least = np.cumsum(np.bincount(cov)[::-1])
+    floor = at_least.shape[0] - 1 - int(np.count_nonzero(at_least < 2 * k))
+    if floor == 0:
+        return _NO_POOL, 0
+    return np.flatnonzero(cov >= floor), floor
+
+
 class SharedGreedy:
     """The greedy pass held for one R1, shared by every ``k <= K``.
 
@@ -189,8 +232,9 @@ def greedy_max_coverage(
     ``registry`` (optional :class:`~repro.obs.MetricsRegistry`) receives
     the ``maxcover.greedy_runs`` / ``maxcover.coverage_evals`` /
     ``maxcover.marginal_updates`` counters: one coverage evaluation per
-    node per argmax pass (``k * n`` per run), and one marginal update
-    per member of every freshly covered RR set.
+    marginal a prefix reads (its pool, or all ``n`` on a full-vector
+    prefix or a pool refresh), and one marginal update per member of
+    every freshly covered RR set.
 
     Raises
     ------
@@ -210,9 +254,11 @@ def greedy_max_coverage(
     rr_nodes = collection.rr_nodes
 
     # cov[v] = marginal coverage of v w.r.t. the current prefix.  It
-    # stays exact for all nodes (the Eq. 10 top-k sums need it); a
-    # separate mask excludes already-selected nodes from argmax, which
-    # would otherwise re-pick a selected node when gains tie at zero.
+    # stays exact for all nodes (the Eq. 10 top-k sums need it).  Each
+    # prefix reads its top-k and its argmax from the candidate pool
+    # while one holds (see the module docstring); a full-vector prefix
+    # masks already-selected nodes out of argmax, which would otherwise
+    # re-pick a selected node when gains tie at zero.
     cov = np.bincount(rr_nodes, minlength=n).astype(np.int64)
     selected = np.zeros(n, dtype=bool)
     covered = np.zeros(num_rr, dtype=bool)
@@ -221,12 +267,33 @@ def greedy_max_coverage(
     gains: List[int] = []
     prefix_coverages: List[int] = [0]
     topk_cumsums = np.empty((k + 1, k), dtype=np.int64)
-    _top_k_cumsum(cov, k, topk_cumsums[0])
     total_covered = 0
     marginal_updates = 0
+    coverage_evals = 0
+    # An empty pool with a positive floor: the first prefix refreshes it.
+    pool, floor = _NO_POOL, 1
 
-    for i in range(1, k + 1):
-        u = int(np.argmax(np.where(selected, np.int64(-1), cov)))
+    for i in range(k + 1):
+        if floor:
+            marginals = cov[pool]
+            live = marginals >= floor
+            if np.count_nonzero(live) >= k:
+                pool, marginals = pool[live], marginals[live]
+            else:
+                coverage_evals += n
+                pool, floor = _candidate_pool(cov, k)
+                marginals = cov[pool]
+        if not floor:
+            marginals = cov
+        coverage_evals += marginals.shape[0]
+        _top_k_cumsum(marginals, k, topk_cumsums[i])
+        if i == k:
+            break
+
+        if floor:
+            u = int(pool[np.argmax(marginals)])
+        else:
+            u = int(np.argmax(np.where(selected, np.int64(-1), cov)))
         gain = int(cov[u])
         seeds.append(u)
         gains.append(gain)
@@ -255,11 +322,10 @@ def greedy_max_coverage(
                 marginal_updates += total
 
         prefix_coverages.append(total_covered)
-        _top_k_cumsum(cov, k, topk_cumsums[i])
 
     obs = resolve_registry(registry)
     obs.count("maxcover.greedy_runs")
-    obs.count("maxcover.coverage_evals", k * n)
+    obs.count("maxcover.coverage_evals", coverage_evals)
     obs.count("maxcover.marginal_updates", marginal_updates)
     return GreedyResult(
         seeds=seeds,

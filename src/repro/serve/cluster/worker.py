@@ -506,6 +506,7 @@ def _cluster_worker(
                 {
                     "task": kind,
                     "job_id": payload.get("job_id"),
+                    "graph": payload.get("graph"),
                     "error": _error_text(exc),
                 },
             )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError
+from repro.maxcover import greedy as greedy_module
 from repro.maxcover.bounds import (
     coverage_upper_bound_greedy,
     coverage_upper_bound_leskovec,
@@ -19,6 +20,7 @@ from repro.maxcover.bounds import (
 )
 from repro.maxcover.greedy import GreedyResult, SharedGreedy, greedy_max_coverage
 from repro.sampling.collection import RRCollection
+from repro.sampling.kernel import RRSampler
 from tests.conftest import brute_force_best_coverage
 
 
@@ -218,6 +220,149 @@ class TestSharedGreedy:
         assert shared.width(100, 65, 100) == 100
         shared.clear()
         assert shared.result is None
+
+
+def full_vector_greedy(collection, k):
+    """The reference pass: every prefix reads all n marginals, its
+    top-k by ``np.partition`` and its argmax with selected nodes masked
+    out.  ``greedy_max_coverage`` must equal it field by field."""
+    collection.build()
+    n = collection.n
+    rr_offsets, rr_nodes = collection.rr_offsets, collection.rr_nodes
+    cov = np.bincount(rr_nodes, minlength=n).astype(np.int64)
+    selected = np.zeros(n, dtype=bool)
+    covered = np.zeros(len(collection), dtype=bool)
+    table = np.empty((k + 1, k), dtype=np.int64)
+
+    def top_k(row):
+        top = cov if k >= n else np.partition(cov, n - k)[n - k :]
+        table[row] = np.cumsum(np.sort(top)[::-1])
+
+    seeds, gains, prefix_coverages = [], [], [0]
+    top_k(0)
+    for i in range(1, k + 1):
+        u = int(np.argmax(np.where(selected, np.int64(-1), cov)))
+        seeds.append(u)
+        gains.append(int(cov[u]))
+        selected[u] = True
+        for rr in collection.rr_sets_containing(u):
+            if not covered[rr]:
+                covered[rr] = True
+                cov[rr_nodes[rr_offsets[rr] : rr_offsets[rr + 1]]] -= 1
+        prefix_coverages.append(int(covered.sum()))
+        top_k(i)
+    return GreedyResult(
+        seeds=seeds,
+        coverage=prefix_coverages[-1],
+        prefix_coverages=prefix_coverages,
+        prefix_topk_sums=table[:, k - 1].tolist(),
+        gains=gains,
+        num_rr_sets=len(collection),
+        topk_cumsums=table,
+    )
+
+
+@st.composite
+def tied_collections(draw):
+    """Collections over a few of the n nodes, so that marginals tie
+    heavily, many nodes never gain, and pools both form and refresh."""
+    n = draw(st.integers(1, 60))
+    used = draw(st.integers(1, n))
+    sets = draw(
+        st.lists(
+            st.lists(st.integers(0, used - 1), min_size=1, max_size=4, unique=True),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    k = draw(st.one_of(st.integers(1, min(6, n)), st.just(n), st.integers(1, n)))
+    return n, sets, k
+
+
+def record_pools(monkeypatch):
+    """Record each candidate-pool refresh's floor during a pass."""
+    floors = []
+    real = greedy_module._candidate_pool
+
+    def recording(cov, k):
+        pool, floor = real(cov, k)
+        floors.append((floor, int(cov.max())))
+        return pool, floor
+
+    monkeypatch.setattr(greedy_module, "_candidate_pool", recording)
+    return floors
+
+
+class TestCandidatePool:
+    """The candidate pool changes no field of any result."""
+
+    @given(tied_collections())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_vector_pass(self, case):
+        n, sets, k = case
+        c = make_collection(n, sets)
+        assert_same_result(greedy_max_coverage(c, k), full_vector_greedy(c, k))
+
+    @pytest.mark.parametrize(
+        "n, sets, k",
+        [
+            (1, [[0], [0]], 1),
+            (5, [[0, 1], [1], [2], [3, 0]], 1),
+            (5, [[0, 1], [1], [2], [3, 0]], 5),
+            (40, [[v % 7, 7 + v % 5] for v in range(60)], 40),
+            (40, [[v % 7, 7 + v % 5] for v in range(60)], 1),
+        ],
+    )
+    def test_edge_widths(self, n, sets, k):
+        c = make_collection(n, sets)
+        assert_same_result(greedy_max_coverage(c, k), full_vector_greedy(c, k))
+
+    def test_pool_refreshes_several_times(self, monkeypatch):
+        # Node v < 200 is in about 3000 / (v + 1) sets of two to six
+        # nodes, so marginals fall unevenly as seeds cover sets.
+        rng = np.random.default_rng(0)
+        weights = 1.0 / np.arange(1, 201)
+        weights /= weights.sum()
+        sets = [
+            rng.choice(200, size=rng.integers(2, 7), replace=False, p=weights)
+            for _ in range(3000)
+        ]
+        c = make_collection(300, sets)
+        floors = record_pools(monkeypatch)
+        result = greedy_max_coverage(c, 40)
+        pooled = [floor for floor, _ in floors]
+        assert len(pooled) >= 5 and min(pooled) >= 1
+        assert pooled == sorted(pooled, reverse=True)
+        assert_same_result(result, full_vector_greedy(c, 40))
+
+    def test_falls_back_until_all_covered(self, monkeypatch):
+        # Every set holds one of the 20 hub nodes, so a 60-seed pass
+        # covers all of them and its last gains tie at 0.
+        rng = np.random.default_rng(0)
+        weights = 1.0 / np.arange(1, 121)
+        weights /= weights.sum()
+        sets = []
+        for _ in range(2000):
+            fillers = rng.choice(120, size=rng.integers(1, 5), replace=False, p=weights)
+            sets.append([int(rng.integers(0, 20)), *(20 + fillers)])
+        c = make_collection(300, sets)
+        floors = record_pools(monkeypatch)
+        result = greedy_max_coverage(c, 60)
+        assert floors[0][0] >= 1 and floors[-1][0] == 0
+        assert result.coverage == len(c) and result.gains[-1] == 0
+        assert_same_result(result, full_vector_greedy(c, 60))
+
+    def test_pools_on_sampled_sketches(self, monkeypatch, medium_graph):
+        for model in ("IC", "LT"):
+            sampler = RRSampler(medium_graph, model, seed=11)
+            c = sampler.new_collection()
+            sampler.fill(c, 1500)
+            floors = record_pools(monkeypatch)
+            for k in (1, 2, 5, 10, 50):
+                del floors[:]
+                result = greedy_max_coverage(c, k)
+                assert floors[0][0] > 0
+                assert_same_result(result, full_vector_greedy(c, k))
 
 
 class TestGreedyApproximation:
