@@ -138,6 +138,7 @@ class SeedQueryServer(JsonHTTPServer):
             except asyncio.TimeoutError:  # pragma: no cover - slow drain
                 pass
         self._closed = True
+        await self._close_connections()
         if self._worker is not None:
             self._worker.cancel()
             try:
