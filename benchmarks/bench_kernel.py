@@ -26,6 +26,16 @@ are the ``tracemalloc`` peak of building a sampler and filling
 :data:`COUNT` sets, which holds the batch's bit-packed visited matrix
 (at most 2 MiB) and the sampler's tables.  A dense visited matrix at
 today's batch width would read about 8x the matrix.
+
+Last, the serve engine samples through a ``workers=1``
+:class:`~repro.sampling.service.SamplingPool`, which reseeds one
+in-process ``RRSampler`` per kernel batch.  ``pool.*_ratio`` is its
+fill time over a plain ``RRSampler`` fill of the same sets (the
+sampler is seeded with the pool's first batch seed, so both draw the
+same single batch), the median of :data:`POOL_REPEATS` alternating
+fills each.  ``BENCH_baseline.json`` gates the ratios near 1; a pool
+that rebuilt its tables or narrowed its batches per fill would read
+several times that.
 """
 
 from __future__ import annotations
@@ -39,9 +49,11 @@ import numpy as np
 import pytest
 
 from repro.datasets.registry import load_dataset
+from repro.graph import assign_wc_weights, power_law_graph
 from repro.sampling.alias import build_alias_arrays
 from repro.sampling.kernel import RRSampler
 from repro.sampling.rrset_lt import LTAliasTables
+from repro.sampling.service import SamplingPool
 from repro.utils.timer import Timer
 
 from conftest import run_once
@@ -55,6 +67,16 @@ MIN_SPEEDUP_VS_PYTHON = 5.0
 TABLE_REPEATS = 9
 #: Timed fills behind each RR-sets-per-second figure.
 RATE_REPEATS = 5
+#: Alternating timed fills of each side behind a pool / sampler ratio.
+POOL_REPEATS = 15
+#: ``(name, graph, model, RR sets)`` of the pool / sampler ratios: a
+#: cluster growth fill on a tenant graph, and engine fills on the
+#: benchmark's pokec-sim graph.
+POOL_FILLS = (
+    ("tenant_ic_250", "tenant", "IC", 250),
+    ("ic_2000", "pokec", "IC", 2000),
+    ("lt_2000", "pokec", "LT", 2000),
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +96,33 @@ def _kernel_rate(graph, model, kernel):
             sampler.fill(sampler.new_collection(), COUNT)
         times.append(timer.elapsed)
     return COUNT / statistics.median(times)
+
+
+def _timed_fill(sampler, count):
+    collection = sampler.new_collection()
+    timer = Timer()
+    with timer:
+        sampler.fill(collection, count)
+    return timer.elapsed
+
+
+def _pool_ratio(graph, model, count):
+    """Median ``workers=1`` pool fill seconds over median sampler fill
+    seconds, fresh objects each repeat, the two sides alternating."""
+    first_batch = np.random.SeedSequence(SEED, spawn_key=(0,))
+    pool_times, sampler_times = [], []
+    for _ in range(POOL_REPEATS):
+        with SamplingPool(graph, model, workers=1, seed=SEED) as pool:
+            pool_times.append(_timed_fill(pool, count))
+        sampler = RRSampler(graph, model, seed=first_batch)
+        sampler_times.append(_timed_fill(sampler, count))
+    pool_s = statistics.median(pool_times)
+    sampler_s = statistics.median(sampler_times)
+    return {
+        "pool_ms": round(1e3 * pool_s, 3),
+        "sampler_ms": round(1e3 * sampler_s, 3),
+        "ratio": round(pool_s / sampler_s, 3),
+    }
 
 
 def _fill_peak_bytes(graph, model):
@@ -125,6 +174,14 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
         return rates, tables, peaks
 
     rates, tables, peaks = run_once(benchmark, run)
+    graphs = {
+        "tenant": assign_wc_weights(power_law_graph(800, 4, seed=0)),
+        "pokec": load_dataset("pokec-sim", scale=2.5),
+    }
+    pool = {
+        name: _pool_ratio(graphs[which], model, count)
+        for name, which, model, count in POOL_FILLS
+    }
     ic, lt = rates["IC"], rates["LT"]
     summary = {
         "dataset": graph.name,
@@ -145,6 +202,11 @@ def bench_vectorized_kernel_throughput(benchmark, graph):
             "tables_speedup_vs_reference": round(
                 tables["reference"] / tables["segmented"], 2
             ),
+        },
+        # workers=1 pool fill / RRSampler fill (see the module docs).
+        "pool": {
+            **{f"{name}_ratio": pool[name]["ratio"] for name in pool},
+            "fills": pool,
         },
         # The gated headline numbers (BENCH_baseline.json).
         "kernel": {

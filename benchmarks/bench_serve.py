@@ -49,7 +49,7 @@ import pytest
 
 from repro.datasets.registry import load_dataset
 from repro.obs import MetricsRegistry
-from repro.sampling.kernel import RRSampler
+from repro.sampling.service import SamplingPool
 from repro.serve import SeedQueryEngine, SeedQueryServer, ServeClient
 from repro.serve.index import graph_fingerprint, load_index, save_index
 from repro.utils.timer import Timer
@@ -149,7 +149,8 @@ def _median_ms(samples):
 def _layout_timings():
     """Append-and-rebuild and warm-load times of the flat layout."""
     big = load_dataset("pokec-sim", scale=LAYOUT_SCALE)
-    sampler = RRSampler(big, "IC", seed=SEED)
+    # The engine's sampler, in process; its state goes in the manifests.
+    sampler = SamplingPool(big, "IC", workers=1, seed=SEED)
     sketch = sampler.new_collection(LAYOUT_SKETCH)
     sketch.build()
     appends = []

@@ -8,8 +8,9 @@ operational side the library adds around the paper's algorithm:
    joint failure budget (the delta / 2^i schedule from Section 4's
    "Discussions"), so every guarantee ever reported holds
    simultaneously;
-2. checkpointing the underlying algorithm to disk and restoring it in
-   a "new process", continuing the exact same randomness stream.
+2. a :class:`~repro.serve.engine.SeedQueryEngine` whose RR sketch is
+   checkpointed to an index directory and warm-started in a "new
+   process", continuing the exact same randomness stream.
 
 Run:  python examples/resumable_session.py
 """
@@ -17,8 +18,9 @@ Run:  python examples/resumable_session.py
 import tempfile
 from pathlib import Path
 
-from repro import OnlineOPIM, load_dataset, load_opim, save_opim
+from repro import load_dataset
 from repro.core.session import OPIMSession
+from repro.serve import SeedQueryEngine
 
 
 def joint_guarantee_session() -> None:
@@ -42,29 +44,39 @@ def joint_guarantee_session() -> None:
 
 def checkpoint_and_resume() -> None:
     graph = load_dataset("pokec-sim", scale=0.3)
-    workdir = Path(tempfile.mkdtemp(prefix="opim-ckpt-"))
+    with tempfile.TemporaryDirectory(prefix="opim-index-") as workdir:
+        resume_from(graph, Path(workdir))
 
-    print(f"Process A: runs OPIM on {graph.name}, checkpoints to {workdir}")
-    process_a = OnlineOPIM(graph, "IC", k=10, delta=0.02, seed=7)
-    process_a.extend(4000)
-    before = process_a.query()
-    save_opim(process_a, workdir)
-    print(f"  alpha at checkpoint: {before.alpha:.4f} "
-          f"({before.num_rr_sets} RR sets)")
 
-    print("Process B: restores the checkpoint and keeps going")
-    process_b = load_opim(graph, workdir)
-    process_b.extend(8000)
-    after = process_b.query()
-    print(f"  alpha after resuming: {after.alpha:.4f} "
-          f"({after.num_rr_sets} RR sets)")
+def resume_from(graph, workdir: Path) -> None:
+    print(f"Process A: serves queries on {graph.name}, indexed at {workdir}")
+    with SeedQueryEngine(graph, "IC", seed=7, index_dir=workdir) as process_a:
+        before = process_a.answer(10, alpha_target=0.5)
+        process_a.checkpoint()
+    print(f"  alpha at checkpoint: {before['alpha']:.4f} "
+          f"({before['num_rr_sets']} RR sets)")
 
-    # Evidence the stream really continued: process A extended by the
-    # same amount produces the identical future.
-    process_a.extend(8000)
-    twin = process_a.query()
-    assert twin.seeds == after.seeds and abs(twin.alpha - after.alpha) < 1e-12
-    print("  verified: the restored run is bit-identical to the original")
+    # The stream is the same at every worker count, so the restart may
+    # run its sampling pool with more workers than process A did.
+    print("Process B: warm-starts from the index with two workers")
+    with SeedQueryEngine(
+        graph, "IC", seed=7, index_dir=workdir, workers=2
+    ) as process_b:
+        assert process_b.loaded_from_index
+        process_b.extend(8000)
+        after = process_b.answer(10, alpha_target=0.5)
+    print(f"  alpha after resuming: {after['alpha']:.4f} "
+          f"({after['num_rr_sets']} RR sets)")
+
+    # Evidence the stream really continued: one uninterrupted engine
+    # issuing the same calls produces the identical future.
+    with SeedQueryEngine(graph, "IC", seed=7) as twin:
+        twin.answer(10, alpha_target=0.5)
+        twin.extend(8000)
+        expected = twin.answer(10, alpha_target=0.5)
+    assert expected["seeds"] == after["seeds"]
+    assert expected["alpha"] == after["alpha"]
+    print("  verified: the restarted engine is bit-identical to the original")
 
 
 if __name__ == "__main__":

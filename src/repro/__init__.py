@@ -45,9 +45,7 @@ from repro.core import (
     OnlineSnapshot,
     OPIMAdoption,
     OPIMSession,
-    load_opim,
     opim_c,
-    save_opim,
 )
 from repro.datasets import load_dataset
 from repro.diffusion import monte_carlo_spread
@@ -78,8 +76,6 @@ __all__ = [
     "IMResult",
     "BorgsOnline",
     "OPIMAdoption",
-    "save_opim",
-    "load_opim",
     # baselines
     "imm",
     "tim_plus",

@@ -6,8 +6,8 @@ implementation *against its reference*, so every public module-level
 function in those packages must cite one in its docstring — ``Eq. 5``,
 ``Eqs. 8/13/15``, ``Lemma 4.4``, ``Theorem 1``, ``Algorithm 2``,
 ``Section 3.3``, ``Table 1``, or ``Figure 6``.  Engineering helpers
-with no paper anchor (e.g. checkpoint persistence) are recorded in the
-committed baseline instead of being force-fitted with a citation.
+with no paper anchor are recorded in the committed baseline instead of
+being force-fitted with a citation.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ from repro.core.adoption import AdoptionCurve, OPIMAdoption
 from repro.core.borgs import BorgsOnline
 from repro.core.opim import BOUND_VARIANTS, OnlineOPIM
 from repro.core.opimc import OPIMC, STOPPING_RULES, opim_c
-from repro.core.persistence import load_opim, save_opim
 from repro.core.results import IMResult, OnlineSnapshot
 from repro.core.session import OPIMSession, SessionResult, StopReason
 from repro.core.theta import (
@@ -21,8 +20,6 @@ __all__ = [
     "OPIMSession",
     "SessionResult",
     "StopReason",
-    "save_opim",
-    "load_opim",
     "BOUND_VARIANTS",
     "OPIMC",
     "opim_c",

@@ -14,8 +14,7 @@ from repro.sampling.rrset_triggering import (
     ic_triggering_sets,
     lt_triggering_sets,
 )
-from repro.sampling.serialize import load_collection, save_collection
-from repro.sampling.service import SamplingPool, chunk_schedule, chunk_seed
+from repro.sampling.service import SamplingPool, batch_rng, batch_schedule
 
 __all__ = [
     "AliasTable",
@@ -25,12 +24,10 @@ __all__ = [
     "SamplingPool",
     "resolve_kernel",
     "sample_rr_sets_kernel",
-    "chunk_schedule",
-    "chunk_seed",
+    "batch_rng",
+    "batch_schedule",
     "LTAliasTables",
     "ic_triggering_sets",
     "lt_triggering_sets",
     "fixed_size_triggering_sets",
-    "save_collection",
-    "load_collection",
 ]

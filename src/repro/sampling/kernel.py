@@ -1,11 +1,11 @@
 """Frontier-batched RR-sampling kernels and the sampler that drives them.
 
 :class:`RRSampler` is the one way the program draws RR sets: OPIM,
-OPIM-C, the baselines, the serve engine and every
-:class:`~repro.sampling.service.SamplingPool` chunk all sample through
-it.  It hands batches of roots to a *kernel* whose defining property
-is a **frozen RNG-consumption contract** with two interchangeable
-implementations:
+OPIM-C, the baselines and every
+:class:`~repro.sampling.service.SamplingPool` (the serve engine's
+sampler) all sample through it.  It hands batches of roots to a
+*kernel* whose defining property is a **frozen RNG-consumption
+contract** with two interchangeable implementations:
 
 ``kernel="python"``
     A deliberately explicit, loop-based reference: the equivalence
@@ -26,11 +26,12 @@ The RNG contract, version 2 (per sampler, seeded once)
    then draws consecutive batches of ``min(cap, remaining)`` sets and
    appends them in stream order; ``sample_one()`` draws batches of
    ``min(cap, 256)`` sets and hands them out one at a time.  The split
-   is a pure function of ``(n, count)``, so a pool chunk (one ``fill``
-   on a fresh sampler) consumes randomness as a pure function of its
-   seed and size.  The roots of a batch of ``b`` sets are drawn with
-   **one** call, ``rng.integers(0, n, size=b)`` (or one weighted draw,
-   see :meth:`RRSampler._draw_roots`).
+   is a pure function of ``(n, count)``; a
+   :class:`~repro.sampling.service.SamplingPool` draws its stream in
+   the same batches, each from its own seed.  The roots of a batch of
+   ``b`` sets are drawn with **one** call, ``rng.integers(0, n,
+   size=b)`` (or one weighted draw, see
+   :meth:`RRSampler._draw_roots`).
 2. IC, by skip and thin (the subset sampling of SUBSIM, Guo et al.,
    SIGMOD 2020).  Each frontier level runs its entries in (set
    ascending, node ascending) order; ``p_max(u)`` is the largest
@@ -59,7 +60,7 @@ The RNG contract, version 2 (per sampler, seeded once)
    node id order (duplicates collapse to the first discovery).
 
 Both kernels consume the generator in exactly this order, which is
-what makes them interchangeable *per (chunk, set-index)*: every chunk
+what makes them interchangeable *per (batch, set-index)*: every batch
 of a :class:`~repro.sampling.service.SamplingPool` — and therefore
 every manifest, warm-index restart, and crash-requeued stream —
 reproduces bitwise.  Version 1 (one coin per IC in-edge, batches of
@@ -75,11 +76,11 @@ from __future__ import annotations
 import math
 import time
 from itertools import chain
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ParameterError, StateError
+from repro.exceptions import ParameterError
 from repro.graph.digraph import DiGraph
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection, stable_key_order
@@ -755,8 +756,8 @@ class RRSampler:
 
     The stream is a pure function of ``(seed, sequence of fill /
     sample_one calls)``.  ``sample_one`` leaves the rest of its batch
-    buffered (see :attr:`buffered`); stream state must not be captured
-    while it is nonzero.
+    buffered (see :attr:`buffered`), and the next ``fill`` hands it
+    out first.
     """
 
     def __init__(
@@ -908,47 +909,6 @@ class RRSampler:
         if count:
             self.fill(collection, count)
         return collection
-
-    # -- resumable stream state ----------------------------------------
-    def state(self) -> Dict[str, Any]:
-        """Snapshot of the stream position (for warm-index manifests)."""
-        if self.buffered:
-            raise StateError(
-                f"cannot capture sampler state with "
-                f"{self.buffered} buffered RR sets"
-            )
-        return {
-            "kind": "serial-kernel",
-            "kernel": self.kernel,
-            "rng_state": self.rng.bit_generator.state,
-            "sets_generated": int(self.sets_generated),
-            "edges_examined": int(self.edges_examined),
-            "nodes_touched": int(self.nodes_touched),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Resume the stream captured by :meth:`state`."""
-        if state.get("kind") != "serial-kernel":
-            raise ParameterError(
-                f"index was sampled with a {state.get('kind')!r} sampler "
-                "but this is a serial sampler; start with the matching "
-                "workers configuration to keep the stream deterministic"
-            )
-        if state.get("kernel") != self.kernel:
-            raise ParameterError(
-                f"index was sampled with kernel {state.get('kernel')!r} but "
-                f"the sampler runs {self.kernel!r}; use the matching kernel "
-                "to keep the stream deterministic"
-            )
-        if self.sets_generated or self.buffered:
-            raise ParameterError(
-                "cannot restore sampling state into a sampler that has "
-                "already generated RR sets"
-            )
-        self.rng.bit_generator.state = state["rng_state"]
-        self.sets_generated = int(state["sets_generated"])
-        self.edges_examined = int(state["edges_examined"])
-        self.nodes_touched = int(state["nodes_touched"])
 
     def __repr__(self) -> str:
         return (

@@ -1,50 +1,56 @@
 """Persistent shared-memory parallel RR-set sampling service.
 
-A per-call process pool would re-pickle the whole CSR graph on every
-fill, a fixed cost that dwarfs the sampling work for the quotas
-OPIM-C's doubling loop (Algorithm 2) actually requests.
-:class:`SamplingPool` amortizes that infrastructure across an entire
-algorithm run:
+:class:`SamplingPool` is the one RR stream of the serve engine at
+every worker count.  It draws the stream in the kernel's batches, and
+the batch is also the unit of its randomness:
+
+* a ``fill`` of *count* sets splits into batches exactly as
+  :meth:`~repro.sampling.kernel.RRSampler.fill` splits it (consecutive
+  batches of ``min(batch_cap(n), remaining)`` sets, RNG-contract item
+  1 in :mod:`repro.sampling.kernel`), indexed globally across fills;
+* batch ``b`` draws from
+  ``np.random.default_rng(SeedSequence(seed, spawn_key=(b,)))``, so
+  every batch is an independent, reproducible draw addressable by its
+  index alone.
+
+Each process holds **one** :class:`~repro.sampling.kernel.RRSampler`
+per pool, reseeded per batch, so the IC skip tables and LT alias
+tables are built once.  With ``workers=1`` that sampler runs in the
+caller's process and appends straight into the caller's collection;
+no shared memory and no worker process exist.  With ``workers > 1``:
 
 * the graph's six CSR arrays are copied **once** into
   ``multiprocessing.shared_memory`` segments; workers map them
   zero-copy and rebuild a :class:`~repro.graph.digraph.DiGraph` view
   without re-validating or re-sorting edges;
 * a long-lived set of worker processes stays alive across all OPIM-C
-  doubling iterations and OnlineOPIM pause/resume steps — each
-  ``fill`` dispatches work to the already-warm workers;
-* work is handed out in **adaptive chunks**: the requested quota is
-  split proportionally (``ceil(quota / target_chunks)``) with a
-  ``min_chunk`` floor, and idle workers pull the next chunk as soon as
-  they finish, so a straggler chunk cannot serialize the fill;
+  doubling iterations and OnlineOPIM pause/resume steps;
+* a fill is dispatched as *chunks*, runs of whole batches, which idle
+  workers pull as they finish; the results are appended in batch
+  order;
 * a crashed worker is respawned and only its outstanding chunk is
-  re-issued **with the same chunk seed**, so output stays bitwise
-  deterministic even across failures.
+  re-issued; its batches keep their indices, hence their seeds.
 
 Determinism contract
 --------------------
-Chunk boundaries and chunk seeds depend only on the pool seed, the
-chunk policy (``min_chunk`` / ``target_chunks``), and the *sequence of
-``fill`` quotas* — never on the worker count or on scheduling.  Chunk
-``i`` (globally indexed across fills) is seeded by
-``SeedSequence(seed, spawn_key=(i,))`` and results are reassembled in
-chunk order, so for a fixed seed the stream of RR sets is bitwise
-identical for ``workers`` 1, 2, 4, ..., identical under worker
-crashes, and identical to running the same chunk schedule serially
-(which is exactly what ``workers=1`` does, in-process).  Each chunk
-is one ``fill`` on a fresh :class:`~repro.sampling.kernel.RRSampler`,
-whose batching is a pure function of the chunk size (RNG-contract
-item 1 in :mod:`repro.sampling.kernel`).
+The stream depends only on the pool seed and the *sequence of
+``fill`` quotas*: batch sizes follow from the quotas and ``n``, batch
+seeds from the seed and the batch index.  How batches are grouped into
+chunks, the worker count and scheduling are not part of it, so for a
+fixed seed the stream is bitwise identical for ``workers`` 1, 2, 4,
+..., identical under worker crashes, and identical to filling batch
+``b`` with a fresh ``RRSampler`` seeded by ``SeedSequence(seed,
+spawn_key=(b,))``.  A stream saved by :meth:`SamplingPool.state`
+continues at any worker count.
 
 The pool implements the sampler duck type used by the core algorithms
 (``fill`` / ``new_collection`` / ``sets_generated`` /
 ``edges_examined`` / ``universe_weight``), so it can be injected
-anywhere an :class:`~repro.sampling.generator.RRSampler` is accepted.
+anywhere an :class:`~repro.sampling.kernel.RRSampler` is accepted.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import queue
@@ -61,14 +67,13 @@ from repro.exceptions import ParameterError, ServiceError
 from repro.graph.digraph import DiGraph
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
-from repro.sampling.kernel import RRSampler
+from repro.sampling.kernel import RRSampler, batch_cap
 from repro.utils.rng import SeedLike, fresh_entropy
 
 __all__ = [
     "SamplingPool",
-    "chunk_schedule",
-    "chunk_seed",
-    "generate_chunk",
+    "batch_rng",
+    "batch_schedule",
 ]
 
 #: CSR arrays shared with workers (the complete DiGraph payload).
@@ -81,83 +86,71 @@ _GRAPH_ARRAYS = (
     "in_probs",
 )
 
-#: Default quota split: chunks per fill before the min-chunk floor.
-DEFAULT_TARGET_CHUNKS = 8
+#: Chunks a fill is split into per worker, when it has enough batches:
+#: a few per worker let a fast worker take over a slow one's share.
+CHUNKS_PER_WORKER = 4
 
-#: Default smallest chunk worth a dispatch round-trip.
-DEFAULT_MIN_CHUNK = 32
+#: A run of stream batches: ``(batch_index, size)`` pairs.
+Batches = Sequence[Tuple[int, int]]
 
 
 # ----------------------------------------------------------------------
-# Chunk policy (pure functions — the determinism contract lives here)
+# The stream (pure functions — the determinism contract lives here)
 # ----------------------------------------------------------------------
-def chunk_schedule(
-    count: int,
-    start_index: int = 0,
-    min_chunk: int = DEFAULT_MIN_CHUNK,
-    target_chunks: int = DEFAULT_TARGET_CHUNKS,
+def batch_schedule(
+    count: int, start_index: int, cap: int
 ) -> List[Tuple[int, int]]:
-    """Split *count* RR sets into ``(chunk_index, chunk_count)`` pairs.
+    """Split a fill of *count* RR sets into ``(batch_index, size)`` pairs.
 
-    The chunk size is quota-proportional (``ceil(count/target_chunks)``)
-    with a floor of *min_chunk*; indices continue from *start_index*.
-    The schedule depends only on these arguments — in particular not on
-    the worker count — which is what makes pool output reproducible
-    across ``workers`` values.
+    Consecutive batches of ``min(cap, remaining)`` sets, the split of
+    :meth:`~repro.sampling.kernel.RRSampler.fill`; indices continue
+    from *start_index*.  It depends on nothing else, in particular not
+    on the worker count.
     """
     if count < 0:
         raise ParameterError(f"count must be non-negative, got {count}")
-    if min_chunk < 1:
-        raise ParameterError(f"min_chunk must be >= 1, got {min_chunk}")
-    if target_chunks < 1:
-        raise ParameterError(
-            f"target_chunks must be >= 1, got {target_chunks}"
-        )
-    size = max(min_chunk, math.ceil(count / target_chunks))
-    schedule = []
-    done = 0
-    index = start_index
-    while done < count:
-        chunk = min(size, count - done)
-        schedule.append((index, chunk))
-        index += 1
-        done += chunk
-    return schedule
+    if cap < 1:
+        raise ParameterError(f"cap must be >= 1, got {cap}")
+    full, rest = divmod(count, cap)
+    sizes = [cap] * full + ([rest] if rest else [])
+    return [(start_index + i, size) for i, size in enumerate(sizes)]
 
 
-def chunk_seed(root_seed: int, chunk_index: int) -> int:
-    """Deterministic child seed for global chunk *chunk_index*.
-
-    Uses ``SeedSequence(root_seed, spawn_key=(chunk_index,))`` so every
-    chunk's stream is independent, reproducible, and addressable by
-    index alone — a respawned worker re-issues an outstanding chunk
-    with the identical seed.
-    """
-    sequence = np.random.SeedSequence(root_seed, spawn_key=(chunk_index,))
-    return int(sequence.generate_state(1)[0])
+def batch_rng(root_seed: int, batch_index: int) -> np.random.Generator:
+    """The generator stream batch *batch_index* draws from:
+    ``default_rng(SeedSequence(root_seed, spawn_key=(batch_index,)))``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(root_seed, spawn_key=(batch_index,))
+    )
 
 
-def generate_chunk(
-    graph: DiGraph, model: str, seed: int, count: int
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """Generate one chunk of *count* RR sets with a fresh chunk sampler.
+def _sample_batches(
+    sampler: RRSampler,
+    root_seed: int,
+    batches: Batches,
+    collection: RRCollection,
+) -> None:
+    """Append *batches* to *collection*, each drawn by *sampler*
+    reseeded to that batch's own stream (one kernel call per batch)."""
+    for index, size in batches:
+        sampler.rng = batch_rng(root_seed, index)
+        sampler.fill(collection, size)
 
-    Returns ``(flat_nodes, offsets, edges_examined, nodes_touched)``
-    where ``flat_nodes[offsets[i]:offsets[i+1]]`` is the *i*-th RR set.
-    Pure given its arguments: the parent (``workers=1``), a pool
-    worker, and a crash-recovery re-issue all produce identical bytes.
-    """
-    sampler = RRSampler(graph, model, seed=seed)
-    flat, offsets = sampler.new_collection(count).flat()
-    return flat, offsets, int(sampler.edges_examined), int(flat.shape[0])
+
+def _chunks(batches: Batches, workers: int) -> List[Batches]:
+    """Group a fill's batches into dispatch chunks of whole batches."""
+    per_chunk = -(-len(batches) // (CHUNKS_PER_WORKER * workers))
+    return [
+        batches[start : start + per_chunk]
+        for start in range(0, len(batches), per_chunk)
+    ]
 
 
 def _require_pool_state(state: Dict[str, Any]) -> None:
     if state.get("kind") != "pool":
         raise ParameterError(
             f"sampler state of kind {state.get('kind')!r} cannot resume a "
-            "SamplingPool; start with the matching workers configuration "
-            "to keep the stream deterministic"
+            "SamplingPool stream"
         )
 
 
@@ -247,41 +240,47 @@ def _service_worker(
     worker_id: int,
     spec: Dict[str, Any],
     model: str,
+    root_seed: int,
     task_queue: Any,
     result_queue: Any,
 ) -> None:
     """Long-lived worker loop: attach the shm graph, then serve chunks.
 
-    Tasks are ``(chunk_index, chunk_seed, count, crash, trace_id)``
-    tuples; ``None`` is the shutdown sentinel.  A task with
-    ``crash=True`` hard-exits the process (fault injection for the
-    crash-recovery tests).  Generation errors are reported back, not
-    raised, so a bad chunk does not silently hang the parent.
+    Tasks are ``(batches, crash, trace_id)`` tuples; ``None`` is the
+    shutdown sentinel.  A task with ``crash=True`` hard-exits the
+    process (fault injection for the crash-recovery tests).
+    Generation errors are reported back, not raised, so a bad chunk
+    does not silently hang the parent.
 
     Workers have no registry of their own: when a task carries a
     ``trace_id`` (a request trace is active in the parent), the worker
     buffers one span event per chunk — phase, elapsed, its pid, the
-    chunk index and seed — and ships it back with the chunk result.
-    The parent records the buffered spans into its own sink, which is
-    what stitches worker-side work into the request's trace tree.
+    first batch index and the batch count — and ships it back with the
+    chunk result.  The parent records the buffered spans into its own
+    sink, which is what stitches worker-side work into the request's
+    trace tree.
     """
     # A parent's SIGTERM handler is inherited through fork; a pool
     # worker holds nothing worth a clean exit, so SIGTERM ends it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     graph, segments = _attach_graph(spec)
     try:
+        sampler = RRSampler(graph, model, seed=root_seed)
         while True:
             task = task_queue.get()
             if task is None:
                 break
-            index, seed, count, crash, trace_id = task
+            batches, crash, trace_id = task
             if crash:
                 os._exit(17)
+            index = batches[0][0]
+            count = sum(size for _, size in batches)
             started = time.perf_counter()
+            edges, nodes = sampler.edges_examined, sampler.nodes_touched
             try:
-                flat, offsets, edges, nodes = generate_chunk(
-                    graph, model, seed, count
-                )
+                collection = RRCollection(graph.n)
+                _sample_batches(sampler, root_seed, batches, collection)
+                flat, offsets = collection.flat()
             except BaseException:
                 result_queue.put(
                     ("err", worker_id, index, traceback.format_exc())
@@ -291,16 +290,7 @@ def _service_worker(
             spans = []
             if trace_id is not None:
                 spans.append(
-                    {
-                        "phase": "service/chunk",
-                        "elapsed": elapsed,
-                        "trace_id": trace_id,
-                        "worker_pid": os.getpid(),
-                        "chunk_index": index,
-                        "chunk_seed": seed,
-                        "rr_sets": count,
-                        "counters": {"sampling.rr_sets": count},
-                    }
+                    _chunk_span(elapsed, batches, count, trace_id=trace_id)
                 )
             result_queue.put(
                 (
@@ -309,8 +299,8 @@ def _service_worker(
                     index,
                     flat,
                     offsets,
-                    edges,
-                    nodes,
+                    sampler.edges_examined - edges,
+                    sampler.nodes_touched - nodes,
                     elapsed,
                     spans,
                 )
@@ -320,11 +310,27 @@ def _service_worker(
             segment.close()
 
 
+def _chunk_span(
+    elapsed: float, batches: Batches, count: int, **fields: Any
+) -> Dict[str, Any]:
+    """The ``service/chunk`` span event of one chunk."""
+    return {
+        "phase": "service/chunk",
+        "elapsed": elapsed,
+        **fields,
+        "worker_pid": os.getpid(),
+        "batch_index": batches[0][0],
+        "batches": len(batches),
+        "rr_sets": count,
+        "counters": {"sampling.rr_sets": count},
+    }
+
+
 # ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
 class SamplingPool:
-    """Persistent zero-copy parallel RR-set sampler (see module docs).
+    """Persistent zero-copy RR-set sampler (see module docs).
 
     Parameters
     ----------
@@ -333,28 +339,27 @@ class SamplingPool:
     model:
         ``"IC"`` or ``"LT"``.
     workers:
-        Worker processes; ``1`` runs the identical chunk schedule
-        in-process (the serial reference the determinism tests compare
-        against).
+        Worker processes; ``1`` samples in the caller's process, with
+        no shared memory.  The stream is the same at every count.
     seed:
-        Root seed; chunk ``i`` derives its stream from
-        ``SeedSequence(seed, spawn_key=(i,))``.  ``None`` draws one
+        Root seed; stream batch ``b`` draws from
+        ``SeedSequence(seed, spawn_key=(b,))``.  ``None`` draws one
         replayable entropy value (recorded in
         :func:`repro.utils.rng.auto_entropy_log`).
-    min_chunk, target_chunks:
-        Chunk policy (see :func:`chunk_schedule`).  Both are part of
-        the determinism contract: change them and the stream changes.
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; the pool
         maintains ``service.chunks`` / ``service.worker_restarts``
         counters, the ``service.shm_bytes`` gauge, and the
         ``service.chunk_seconds`` latency distribution, plus the
-        standard ``sampling.*`` counters.
+        standard ``sampling.*`` counters.  With ``workers=1`` the
+        in-process sampler reports the ``sampling.*`` and ``kernel.*``
+        counters and the LT table build itself.
     inject_crash_chunks:
-        Fault-injection hook for tests: global chunk indices whose
-        first dispatch hard-kills the executing worker.  The pool
-        respawns the worker and re-issues the chunk (crash-once
+        Fault-injection hook for tests: global batch indices whose
+        chunk's first dispatch hard-kills the executing worker.  The
+        pool respawns the worker and re-issues the chunk (crash-once
         semantics), exercising the recovery path deterministically.
+        Only workers crash, so it has no effect with ``workers=1``.
     max_restarts:
         Abort with :class:`ServiceError` after this many worker
         respawns (guards against a deterministically crashing chunk).
@@ -369,7 +374,7 @@ class SamplingPool:
     100
     """
 
-    #: The kernel every chunk runs; recorded in :meth:`state`.
+    #: The kernel every batch runs; recorded in :meth:`state`.
     kernel = "vectorized"
 
     def __init__(
@@ -378,8 +383,6 @@ class SamplingPool:
         model: str,
         workers: int = 2,
         seed: SeedLike = None,
-        min_chunk: int = DEFAULT_MIN_CHUNK,
-        target_chunks: int = DEFAULT_TARGET_CHUNKS,
         registry: Optional[object] = None,
         inject_crash_chunks: Optional[Set[int]] = None,
         max_restarts: int = 8,
@@ -393,12 +396,6 @@ class SamplingPool:
             raise ParameterError(
                 "graph has no edge probabilities; apply a weighting scheme first"
             )
-        if min_chunk < 1:
-            raise ParameterError(f"min_chunk must be >= 1, got {min_chunk}")
-        if target_chunks < 1:
-            raise ParameterError(
-                f"target_chunks must be >= 1, got {target_chunks}"
-            )
         if max_restarts < 0:
             raise ParameterError(
                 f"max_restarts must be non-negative, got {max_restarts}"
@@ -406,11 +403,9 @@ class SamplingPool:
         self.graph = graph
         self.model = model
         self.workers = int(workers)
-        self.min_chunk = int(min_chunk)
-        self.target_chunks = int(target_chunks)
         self.max_restarts = int(max_restarts)
         self.obs = resolve_registry(registry)
-        self._crash_chunks = set(inject_crash_chunks or ())
+        self._crash_batches = set(inject_crash_chunks or ())
 
         if isinstance(seed, np.random.SeedSequence):
             entropy = seed.entropy
@@ -435,30 +430,33 @@ class SamplingPool:
         self.fill_seconds = 0.0
         #: Worker respawns performed so far (crash recoveries).
         self.restarts = 0
-        self._next_chunk = 0
+        self._batch_cap = batch_cap(graph.n)
+        self._next_batch = 0
         self._closed = False
 
+        # workers == 1: the in-process sampler; otherwise the workers.
+        self._sampler: Optional[RRSampler] = None
         self._segments: List[shared_memory.SharedMemory] = []
-        self._segment_names: List[str] = []
         self._procs: List[Optional[mp.process.BaseProcess]] = []
         self._task_queues: List[Any] = []
         self._result_queue: Optional[Any] = None
         self._context: Optional[Any] = None
 
+        if self.workers == 1:
+            self._sampler = RRSampler(
+                graph, model, seed=self.seed, registry=self.obs
+            )
+            return
         self._spec, self._segments, shm_bytes = _share_graph(graph)
-        self._segment_names = [s.name for s in self._segments]
         self.obs.set_gauge("service.shm_bytes", shm_bytes)
         try:
-            if self.workers > 1:
-                methods = mp.get_all_start_methods()
-                self._context = mp.get_context(
-                    "fork" if "fork" in methods else None
-                )
-                self._result_queue = self._context.Queue()
-                for worker_id in range(self.workers):
-                    self._procs.append(None)
-                    self._task_queues.append(None)
-                    self._spawn_worker(worker_id)
+            methods = mp.get_all_start_methods()
+            self._context = mp.get_context("fork" if "fork" in methods else None)
+            self._result_queue = self._context.Queue()
+            for worker_id in range(self.workers):
+                self._procs.append(None)
+                self._task_queues.append(None)
+                self._spawn_worker(worker_id)
         except BaseException:
             self.close()
             raise
@@ -470,8 +468,9 @@ class SamplingPool:
 
     @property
     def segment_names(self) -> List[str]:
-        """Names of the shared-memory segments (leak-test oracle)."""
-        return list(self._segment_names)
+        """Names of the shared-memory segments (leak-test oracle);
+        empty with ``workers=1``."""
+        return [segment.name for segment in self._segments]
 
     def _spawn_worker(self, worker_id: int) -> None:
         assert self._context is not None
@@ -482,6 +481,7 @@ class SamplingPool:
                 worker_id,
                 self._spec,
                 self.model,
+                self.seed,
                 task_queue,
                 self._result_queue,
             ),
@@ -518,6 +518,7 @@ class SamplingPool:
             self._result_queue.close()
             self._result_queue.cancel_join_thread()
             self._result_queue = None
+        self._sampler = None
         for segment in self._segments:
             segment.close()
             try:
@@ -542,7 +543,7 @@ class SamplingPool:
 
     # -- sampling -------------------------------------------------------
     def fill(self, collection: RRCollection, count: int) -> None:
-        """Append *count* fresh RR sets to *collection* (chunk order)."""
+        """Append *count* fresh RR sets to *collection* (batch order)."""
         if self._closed:
             raise ServiceError("SamplingPool is closed")
         if count < 0:
@@ -553,35 +554,19 @@ class SamplingPool:
             )
         if count == 0:
             return
-        schedule = chunk_schedule(
-            count, self._next_chunk, self.min_chunk, self.target_chunks
-        )
-        self._next_chunk += len(schedule)
-        tasks = [
-            (index, chunk_seed(self.seed, index), chunk)
-            for index, chunk in schedule
-        ]
+        batches = batch_schedule(count, self._next_batch, self._batch_cap)
+        self._next_batch += len(batches)
         fill_started = time.perf_counter()
         with self.obs.trace("service/fill"):
-            if self.workers == 1:
-                results = self._run_serial(tasks)
+            if self._sampler is not None:
+                chunks, edges, nodes = self._fill_here(collection, batches)
             else:
-                results = self._run_parallel(tasks)
+                chunks, edges, nodes = self._fill_parallel(collection, batches)
         self.fill_seconds += time.perf_counter() - fill_started
-        edges = nodes = 0
-        for index, _seed, _chunk in tasks:
-            flat, offsets, chunk_edges, chunk_nodes = results[index]
-            edges += chunk_edges
-            nodes += chunk_nodes
-            collection.append_flat(flat, offsets)
         self.sets_generated += count
         self.edges_examined += edges
         self.nodes_touched += nodes
-        obs = self.obs
-        obs.count("service.chunks", len(tasks))
-        obs.count("sampling.rr_sets", count)
-        obs.count("sampling.edges", edges)
-        obs.count("sampling.nodes", nodes)
+        self.obs.count("service.chunks", chunks)
 
     def new_collection(self, count: int = 0) -> RRCollection:
         """Create a collection over the pool's graph, optionally filled."""
@@ -594,20 +579,19 @@ class SamplingPool:
     def state(self) -> Dict[str, Any]:
         """Snapshot of the deterministic stream position.
 
-        Because chunk seeds are a pure function of ``(seed, index)``,
-        the pool's entire sampling state is its root seed, the chunk
-        policy, and the next global chunk index.  Persisting this dict
-        (see :mod:`repro.serve.index`) and restoring it into a pool
-        constructed with the same seed and policy continues the exact
-        RR-set stream the original process would have produced.
+        Because batch seeds are a pure function of ``(seed, index)``
+        and batch sizes of the fill quotas, the pool's entire sampling
+        state is its root seed and the next global batch index.
+        Persisting this dict (see :mod:`repro.serve.index`) and
+        restoring it into a pool with the same seed, at any worker
+        count, continues the exact RR-set stream the original process
+        would have produced.
         """
         return {
             "kind": "pool",
             "seed": self.seed,
             "kernel": self.kernel,
-            "min_chunk": self.min_chunk,
-            "target_chunks": self.target_chunks,
-            "next_chunk": self._next_chunk,
+            "next_batch": self._next_batch,
             "sets_generated": self.sets_generated,
             "edges_examined": self.edges_examined,
             "nodes_touched": self.nodes_touched,
@@ -627,10 +611,9 @@ class SamplingPool:
         """Build a pool resuming the stream captured by :meth:`state`.
 
         The handoff path for a respawned cluster worker: the dict
-        persisted in the sketch index carries the root seed and chunk
-        policy, so the new pool — possibly with a *different* worker
-        count, which the determinism contract allows — continues the
-        exact RR-set stream the crashed process would have produced.
+        persisted in the sketch index carries the root seed, so the
+        new pool — at any worker count — continues the exact RR-set
+        stream the crashed process would have produced.
         """
         _require_pool_state(state)
         pool = cls(
@@ -638,8 +621,6 @@ class SamplingPool:
             model,
             workers=workers,
             seed=int(state["seed"]),
-            min_chunk=int(state["min_chunk"]),
-            target_chunks=int(state["target_chunks"]),
             registry=registry,
             **kwargs,
         )
@@ -653,67 +634,66 @@ class SamplingPool:
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Resume the deterministic stream from a :meth:`state` dict.
 
-        The pool must have been constructed with the same seed and
-        chunk policy the state was captured under — those are part of
-        the determinism contract, so a mismatch is an error rather
-        than a silent stream change.
+        The pool must have been constructed with the seed the state
+        was captured under, which is part of the determinism contract,
+        so a mismatch is an error rather than a silent stream change.
         """
         _require_pool_state(state)
-        for field in ("seed", "min_chunk", "target_chunks"):
-            if int(state[field]) != int(getattr(self, field)):
-                raise ParameterError(
-                    f"cannot restore sampling state: {field} was "
-                    f"{state[field]} at capture but the pool has "
-                    f"{getattr(self, field)}"
-                )
-        if self._next_chunk != 0 or self.sets_generated != 0:
+        if int(state["seed"]) != self.seed:
+            raise ParameterError(
+                f"cannot restore sampling state: seed was {state['seed']} "
+                f"at capture but the pool has {self.seed}"
+            )
+        if self._next_batch != 0 or self.sets_generated != 0:
             raise ParameterError(
                 "cannot restore sampling state into a pool that has "
                 "already generated RR sets"
             )
-        self._next_chunk = int(state["next_chunk"])
+        self._next_batch = int(state["next_batch"])
         self.sets_generated = int(state["sets_generated"])
         self.edges_examined = int(state["edges_examined"])
         self.nodes_touched = int(state["nodes_touched"])
 
     # -- execution backends --------------------------------------------
-    def _run_serial(
-        self, tasks: Sequence[Tuple[int, int, int]]
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, int, int]]:
-        """In-process chunk execution: the ``workers=1`` reference path."""
-        results = {}
-        for index, seed, chunk in tasks:
-            started = time.perf_counter()
-            results[index] = generate_chunk(self.graph, self.model, seed, chunk)
-            elapsed = time.perf_counter() - started
-            self._observe_chunk(elapsed)
-            if self.obs.current_trace() is not None:
-                self.obs.record(
-                    "span",
-                    phase="service/chunk",
-                    elapsed=elapsed,
-                    worker_pid=os.getpid(),
-                    chunk_index=index,
-                    chunk_seed=seed,
-                    rr_sets=chunk,
-                    counters={"sampling.rr_sets": chunk},
-                )
-        return results
+    def _fill_here(
+        self, collection: RRCollection, batches: Batches
+    ) -> Tuple[int, int, int]:
+        """``workers=1``: the in-process sampler appends every batch to
+        *collection* as one chunk; returns ``(chunks, edges, nodes)``."""
+        sampler = self._sampler
+        assert sampler is not None
+        edges, nodes = sampler.edges_examined, sampler.nodes_touched
+        started = time.perf_counter()
+        _sample_batches(sampler, self.seed, batches, collection)
+        elapsed = time.perf_counter() - started
+        self._observe_chunk(elapsed)
+        if self.obs.current_trace() is not None:
+            count = sum(size for _, size in batches)
+            self.obs.record("span", **_chunk_span(elapsed, batches, count))
+        return (
+            1,
+            sampler.edges_examined - edges,
+            sampler.nodes_touched - nodes,
+        )
 
-    def _run_parallel(
-        self, tasks: Sequence[Tuple[int, int, int]]
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, int, int]]:
-        """Adaptive dispatch: idle workers pull chunks; crashes recover."""
+    def _fill_parallel(
+        self, collection: RRCollection, batches: Batches
+    ) -> Tuple[int, int, int]:
+        """Adaptive dispatch: idle workers pull chunks; crashes recover.
+        Results are appended in batch order; returns ``(chunks, edges,
+        nodes)``."""
         assert self._result_queue is not None
-        pending = deque(tasks)
-        outstanding: Dict[int, Tuple[int, int, int]] = {}
+        chunks = _chunks(batches, self.workers)
+        pending = deque(chunks)
+        outstanding: Dict[int, Batches] = {}
         idle = deque(
             worker_id
             for worker_id, process in enumerate(self._procs)
             if process is not None
         )
-        results: Dict[int, Tuple[np.ndarray, np.ndarray, int, int]] = {}
-        while len(results) < len(tasks):
+        results: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        edges = nodes = 0
+        while len(results) < len(chunks):
             while pending and idle:
                 worker_id = idle.popleft()
                 self._dispatch(worker_id, pending.popleft(), outstanding)
@@ -725,7 +705,8 @@ class SamplingPool:
             if message[0] == "err":
                 _, worker_id, index, text = message
                 raise ServiceError(
-                    f"worker {worker_id} failed on chunk {index}:\n{text}"
+                    f"worker {worker_id} failed on the chunk at batch "
+                    f"{index}:\n{text}"
                 )
             (
                 _,
@@ -733,12 +714,14 @@ class SamplingPool:
                 index,
                 flat,
                 offsets,
-                edges,
-                nodes,
+                chunk_edges,
+                chunk_nodes,
                 elapsed,
                 spans,
             ) = message
-            results[index] = (flat, offsets, edges, nodes)
+            results[index] = (flat, offsets)
+            edges += chunk_edges
+            nodes += chunk_nodes
             outstanding.pop(worker_id, None)
             idle.append(worker_id)
             self._observe_chunk(elapsed)
@@ -746,7 +729,14 @@ class SamplingPool:
                 # Worker-buffered span events, replayed into our sink so
                 # the request's trace tree includes cross-process work.
                 self.obs.record("span", **event)
-        return results
+        for chunk in chunks:
+            collection.append_flat(*results[chunk[0][0]])
+        count = sum(size for _, size in batches)
+        obs = self.obs
+        obs.count("sampling.rr_sets", count)
+        obs.count("sampling.edges", edges)
+        obs.count("sampling.nodes", nodes)
+        return len(chunks), edges, nodes
 
     def _observe_chunk(self, elapsed: float) -> None:
         self.obs.observe("service.chunk_seconds", elapsed)
@@ -755,29 +745,28 @@ class SamplingPool:
     def _dispatch(
         self,
         worker_id: int,
-        task: Tuple[int, int, int],
-        outstanding: Dict[int, Tuple[int, int, int]],
+        chunk: Batches,
+        outstanding: Dict[int, Batches],
     ) -> None:
-        index, seed, chunk = task
-        crash = index in self._crash_chunks
-        if crash:
-            # Crash-once semantics: the recovery re-issue runs clean.
-            self._crash_chunks.discard(index)
-        outstanding[worker_id] = task
+        indices = {index for index, _ in chunk}
+        crash = not indices.isdisjoint(self._crash_batches)
+        # Crash-once semantics: the recovery re-issue runs clean.
+        self._crash_batches -= indices
+        outstanding[worker_id] = chunk
         self._task_queues[worker_id].put(
-            (index, seed, chunk, crash, self.obs.current_trace())
+            (chunk, crash, self.obs.current_trace())
         )
 
     def _recover_workers(
         self,
-        outstanding: Dict[int, Tuple[int, int, int]],
+        outstanding: Dict[int, Batches],
         idle: "deque[int]",
     ) -> None:
         """Respawn dead workers; re-issue their outstanding chunks.
 
-        The re-issued chunk keeps its original seed (chunk seeds are a
-        pure function of the chunk index), so recovery cannot change
-        the output stream.
+        A re-issued chunk keeps its batches, whose seeds are a pure
+        function of their indices, so recovery cannot change the
+        output stream.
         """
         for worker_id, process in enumerate(self._procs):
             if process is None or process.is_alive():
@@ -792,9 +781,9 @@ class SamplingPool:
                     f"{self.max_restarts} exhausted"
                 )
             self._spawn_worker(worker_id)
-            task = outstanding.pop(worker_id, None)
-            if task is not None:
-                self._dispatch(worker_id, task, outstanding)
+            chunk = outstanding.pop(worker_id, None)
+            if chunk is not None:
+                self._dispatch(worker_id, chunk, outstanding)
             elif worker_id not in idle:  # pragma: no cover - idle death
                 idle.append(worker_id)
 

@@ -2,7 +2,8 @@
 
 :class:`SeedQueryEngine` is the serving layer's model of the paper's
 online contract: keep **one** RR-sketch stream (an R1/R2 collection
-pair fed by one deterministic sampler) per ``(graph, model, seed)``,
+pair fed by one :class:`~repro.sampling.service.SamplingPool`, whose
+stream is the same at every worker count) per ``(graph, model, seed)``,
 and answer every ``(k, bound, target)`` query by *extending* that
 stream just far enough — never by restarting it.
 
@@ -41,7 +42,6 @@ from repro.maxcover.greedy import SharedGreedy
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
 from repro.sampling.hop import DEFAULT_HOPS, HopEstimator
-from repro.sampling.kernel import RRSampler
 from repro.sampling.service import SamplingPool
 from repro.serve.index import (
     append_sessions,
@@ -79,11 +79,11 @@ class SeedQueryEngine:
         with the same graph, model, and seed answer every query
         identically — including across save/load of the index.
     workers:
-        ``> 1`` streams through a warm
-        :class:`~repro.sampling.service.SamplingPool`; otherwise a
-        serial :class:`~repro.sampling.kernel.RRSampler` is used.
-        The two draw different streams, so an index warm-starts only
-        an engine with the same choice.
+        Worker processes of the engine's
+        :class:`~repro.sampling.service.SamplingPool` (default 1: it
+        samples in this process).  The stream does not depend on it,
+        so an index written at one worker count continues at any
+        other.
     delta:
         Total failure budget *per k* (default ``1/n``); each per-``k``
         session schedules its queries under ``delta / 2^i``.
@@ -134,15 +134,10 @@ class SeedQueryEngine:
         self.on_answer = on_answer
         self.graph_hash = graph_fingerprint(graph)
         self.workers = int(workers) if workers is not None else 1
-        if self.workers > 1:
-            self.sampler: Any = SamplingPool(
-                graph, self.model, workers=self.workers,
-                seed=self.seed, registry=self.obs,
-            )
-        else:
-            self.sampler = RRSampler(
-                graph, self.model, seed=self.seed, registry=self.obs
-            )
+        self.sampler = SamplingPool(
+            graph, self.model, workers=self.workers,
+            seed=self.seed, registry=self.obs,
+        )
         #: The sampling kernel behind the stream (reported in stats).
         self.kernel = self.sampler.kernel
         self._hop: Optional[HopEstimator] = None
@@ -180,12 +175,11 @@ class SeedQueryEngine:
         return self._closed
 
     def close(self) -> None:
-        """Release the sampling pool (no-op for the serial sampler)."""
+        """Release the sampling pool."""
         if self._closed:
             return
         self._closed = True
-        if isinstance(self.sampler, SamplingPool):
-            self.sampler.close()
+        self.sampler.close()
 
     def __enter__(self) -> "SeedQueryEngine":
         return self
@@ -329,7 +323,7 @@ class SeedQueryEngine:
         if theta_cap is not None:
             cap = min(cap, theta_cap)
         sampled_before = self.num_rr_sets
-        fill_before = float(getattr(self.sampler, "fill_seconds", 0.0))
+        fill_before = self.sampler.fill_seconds
         started = time.perf_counter()
         with self.obs.trace_context(trace_id), self.obs.trace("serve/answer"):
             result: SessionResult = session.run_until(
@@ -343,9 +337,7 @@ class SeedQueryEngine:
         sampled = self.num_rr_sets - sampled_before
         # Split request time into sampling (sketch extension inside the
         # sampler's fill) and selection (greedy + bound bookkeeping).
-        sample_seconds = (
-            float(getattr(self.sampler, "fill_seconds", 0.0)) - fill_before
-        )
+        sample_seconds = self.sampler.fill_seconds - fill_before
         select_seconds = max(0.0, elapsed - sample_seconds)
         self.obs.histogram("engine.sample_seconds").observe(sample_seconds)
         self.obs.histogram("engine.select_seconds").observe(select_seconds)

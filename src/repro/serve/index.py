@@ -54,16 +54,16 @@ load.  :func:`save_manifest` folds the journal into the manifest it
 writes and removes it only after that manifest is in place.
 
 The manifest binds the sketch to its provenance: ``graph_hash`` (a
-SHA-256 over the CSR arrays), ``model``, ``seed``, the chunk policy /
-RNG state needed to *continue* the deterministic stream, and the
+SHA-256 over the CSR arrays), ``model``, ``seed``, the
+:class:`~repro.sampling.service.SamplingPool` state needed to
+*continue* the deterministic stream (its next batch index), and the
 theta counts.  Loading validates all of it — serving answers from a
 sketch sampled on a different graph or model would silently void the
 ``1 - delta`` guarantee.
 
-An index is a cache: one written by another format version, or whose
-stream state predates the one production sampler (a ``"serial"``
-sampler state, or a pool state without a ``kernel``), is refused with
-a :class:`~repro.exceptions.GraphFormatError` asking for a rebuild.
+An index is a cache: one written by another format version is refused
+with a :class:`~repro.exceptions.GraphFormatError` asking for a
+rebuild.
 
 Hashing the graph is a SHA-256 over its CSR arrays; a caller that
 already holds :func:`graph_fingerprint` (the serve engine computes it
@@ -93,8 +93,10 @@ PathLike = Union[str, Path]
 #: positions may sit in ``sessions.journal``, which an older reader
 #: would ignore and so reuse spent ``delta / 2^i`` slices; 4: the
 #: kernel's RNG contract v2, skip-and-thin IC and bit-packed batches,
-#: so a format-3 stream continued here would not replay bitwise).
-INDEX_FORMAT_VERSION = 4
+#: so a format-3 stream continued here would not replay bitwise; 5: one
+#: stream at every worker count, seeded per kernel batch, whose state
+#: is a ``SamplingPool`` batch index).
+INDEX_FORMAT_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
 
@@ -212,10 +214,9 @@ def save_index(
 ) -> Dict[str, Any]:
     """Write an RR-sketch index; returns the manifest written.
 
-    ``sampler_state`` is the stream-continuation state — either
-    ``SamplingPool.state()`` (``kind: "pool"``) or ``RRSampler.state()``
-    (``kind: "serial-kernel"``) — so a loaded index can keep extending
-    the exact same deterministic RR stream.  The manifest goes last
+    ``sampler_state`` is the stream-continuation state,
+    ``SamplingPool.state()``, so a loaded index can keep extending the
+    exact same deterministic RR stream at any worker count.  The manifest goes last
     (:func:`save_manifest`), which also compacts the session journal.
     """
     directory = Path(directory)
@@ -336,13 +337,6 @@ def load_index(
             directory,
             f"index format version {manifest.get('version')} is not the "
             f"supported {INDEX_FORMAT_VERSION}",
-        )
-    state = manifest.get("sampler_state") or {}
-    if state.get("kind") == "serial" or (
-        state.get("kind") == "pool" and not state.get("kernel")
-    ):
-        raise _rebuild(
-            directory, "its RR stream was drawn by a removed legacy sampler"
         )
     fingerprint = graph_hash or graph_fingerprint(graph)
     if manifest.get("graph_hash") != fingerprint:

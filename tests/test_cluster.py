@@ -872,6 +872,63 @@ class TestFailureModes:
             ):
                 assert reply["response"][key] == want[key], key
 
+    @pytest.mark.parametrize("first, then", [(1, 2), (2, 1)])
+    def test_evicted_index_continues_at_another_sampler_worker_count(
+        self, tmp_path, first, then
+    ):
+        """A graph evicted under one ``sampler_workers`` and registered
+        again under another (in a new front end over the same state
+        directory) warm-starts from its index and answers bitwise equal
+        to an uninterrupted engine: the stream does not depend on the
+        worker count."""
+        from repro.serve import SeedQueryEngine
+
+        graph = make_graph(n=400)
+        jobs = [(2, 0.3, 2000), (3, 0.1, 6000), (2, 0.3, 6000)]
+        with SeedQueryEngine(graph, "LT", seed=7, step=400, delta=0.2) as ref:
+            expected = [
+                ref.answer(k, epsilon=eps, rr_budget=budget)
+                for k, eps, budget in jobs
+            ]
+        assert expected[1]["sampled"] > 0
+
+        async def serve(sampler_workers, batch, evict):
+            front = await _started_frontend(state_dir=tmp_path, workers=1)
+            client = await ServeClient.connect(front.host, front.port)
+            headers = {"X-Tenant": "t"}
+            try:
+                front.register_graph(
+                    graph, "g", tenant="t", model="LT", seed=7, step=400,
+                    delta=0.2, sampler_workers=sampler_workers,
+                )
+                replies = []
+                for k, eps, budget in batch:
+                    status, _, body = await _submit_and_wait(
+                        client, "g", headers, k=k, epsilon=eps,
+                        rr_budget=budget,
+                    )
+                    assert status == 200, body
+                    replies.append(body)
+                if evict:
+                    status, _, body = await client.request_raw(
+                        "POST", "/graphs/g/evict", headers=headers
+                    )
+                    assert status == 200 and body["evicted"], body
+                return replies
+            finally:
+                await client.close()
+                await front.close(drain=True)
+
+        replies = run(serve(first, jobs[:1], evict=True))
+        resumed = run(serve(then, jobs[1:], evict=False))
+        assert resumed[0]["engine"]["loaded_from_index"]
+        for reply, want in zip(replies + resumed, expected):
+            for key in (
+                "seeds", "alpha", "num_rr_sets", "sigma_low", "sigma_up",
+                "sampled", "queries_made",
+            ):
+                assert reply["response"][key] == want[key], key
+
     def test_failed_job_boundary_checkpoint_finishes_the_job(
         self, tmp_path, monkeypatch
     ):

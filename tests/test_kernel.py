@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ParameterError, StateError
+from repro.exceptions import ParameterError
 from repro.graph.build import from_edge_list
 from repro.graph.generators import power_law_graph
 from repro.graph.weights import assign_constant_weights, assign_wc_weights
@@ -38,7 +38,6 @@ from repro.sampling.kernel import (
     AUTO_KERNEL,
     KERNELS,
     ICSkipTables,
-    SAMPLE_ONE_BATCH,
     RRSampler,
     batch_cap,
     resolve_kernel,
@@ -227,40 +226,6 @@ class TestKernelRRSampler:
         assert rr[0] == 17
         with pytest.raises(ParameterError, match="out of range"):
             sampler.sample_one(root=oracle_graph.n)
-
-    def test_state_roundtrip_continues_stream(self, oracle_graph):
-        reference = RRSampler(oracle_graph, "IC", seed=9)
-        coll = reference.new_collection()
-        reference.fill(coll, 64)
-        reference.fill(coll, 64)
-
-        first = RRSampler(oracle_graph, "IC", seed=9)
-        c1 = first.new_collection()
-        first.fill(c1, 64)
-        state = first.state()
-        second = RRSampler(oracle_graph, "IC", seed=123)
-        second.restore_state(state)
-        c2 = second.new_collection()
-        second.fill(c2, 64)
-        assert _identical(
-            [coll.get(i) for i in range(64, 128)],
-            [c2.get(i) for i in range(64)],
-        )
-        assert second.edges_examined == reference.edges_examined
-
-    def test_state_refuses_buffered_sets(self, oracle_graph):
-        sampler = RRSampler(oracle_graph, "IC", seed=2)
-        sampler.sample_one()  # leaves the rest of its batch buffered
-        assert sampler.buffered == SAMPLE_ONE_BATCH - 1
-        with pytest.raises(StateError, match="buffered"):
-            sampler.state()
-
-    def test_restore_refuses_kernel_mismatch(self, oracle_graph):
-        first = RRSampler(oracle_graph, "IC", seed=9, kernel="vectorized")
-        state = first.state()
-        other = RRSampler(oracle_graph, "IC", seed=9, kernel="python")
-        with pytest.raises(ParameterError, match="deterministic"):
-            other.restore_state(state)
 
     def test_requires_weighted_graph(self):
         bare = power_law_graph(40, 3, seed=1)

@@ -26,7 +26,6 @@ from repro.datasets import load_dataset
 from repro.exceptions import GraphFormatError, ParameterError
 from repro.sampling.collection import RRCollection, stable_key_order
 from repro.sampling.kernel import RRSampler
-from repro.sampling.serialize import load_collection, save_collection
 from repro.sampling.service import SamplingPool
 from repro.serve import SeedQueryEngine
 from repro.serve.index import load_index, save_index
@@ -218,45 +217,46 @@ def _file_hashes(directory):
 
 class TestPinnedBytes:
     """sha256 of the index halves written for fixed streams: a layout
-    change must keep every byte.  The IC digests are those of RNG
-    contract v2; the LT ones did not move with it."""
+    change must keep every byte.  The index digests are those of the
+    batch-seeded ``SamplingPool`` stream (index format 5);
+    ``RRSampler``'s own stream is pinned by ``sample_one_then_fill``
+    and by ``test_sampling.py``."""
 
-    def test_serial_ic_index_files(self, pokec, tmp_path):
-        sampler = RRSampler(pokec, "IC", seed=2018)
-        r1 = sampler.new_collection(3000)
-        r2 = sampler.new_collection(3000)
-        save_index(
-            tmp_path, pokec, "IC", r1=r1, r2=r2,
-            sampler_state=sampler.state(), seed=2018,
-        )
-        assert _file_hashes(tmp_path) == {
-            "r1_nodes.npy":
-                "9a5e1e87e1db08558c31d8ddf06a9a312d325b4dfbfe238dcdb44e253e12a7c2",
-            "r1_offsets.npy":
-                "e683095ee264ee60ddecf66e221c2917a0690d7dcfe66a5f3314e76187a504cb",
-            "r2_nodes.npy":
-                "dd67972a6a12ba2e587dd29e49fc4a7cc29f084cb279951fcf3ce17459a35c67",
-            "r2_offsets.npy":
-                "4a9e4d9b974a28f5832e74f67f462f55f981a23330f2a2762afa6b63d7b1c696",
-        }
-
-    def test_pool_lt_index_files(self, pokec, tmp_path):
-        with SamplingPool(pokec, "LT", workers=1, seed=2018) as pool:
+    @staticmethod
+    def _pool_index(pokec, model, directory):
+        with SamplingPool(pokec, model, workers=1, seed=2018) as pool:
             r1 = pool.new_collection(3000)
             r2 = pool.new_collection(3000)
             state = pool.state()
         save_index(
-            tmp_path, pokec, "LT", r1=r1, r2=r2, sampler_state=state, seed=2018
+            directory, pokec, model, r1=r1, r2=r2, sampler_state=state,
+            seed=2018,
         )
-        assert _file_hashes(tmp_path) == {
+        return _file_hashes(directory)
+
+    def test_serial_ic_index_files(self, pokec, tmp_path):
+        """The in-process (``workers=1``) pool's IC stream."""
+        assert self._pool_index(pokec, "IC", tmp_path) == {
             "r1_nodes.npy":
-                "0961f94ebb9b0e216ec590d1ba9615085c7f69dd99b32ca3fca26725a6c8a55a",
+                "20e245de3998513c4704d31c361c2c069b30d0a878c9b224d04ab76f2e1d3805",
             "r1_offsets.npy":
-                "94abc2eee4fad5e23c432de8380727758e50ea0717afc7c6fd737fbf41aa67e0",
+                "5e434fe7c565a4ef28d2e6e0e66dc0357e0feb4f750cc9b5f72a0e0cedec2151",
             "r2_nodes.npy":
-                "d5318f5ffdc5df2e71091b95ebe97c45aad8708799cb8f083eac2804e96d5d7b",
+                "5a08fca4c5e896e881049701ef59fa5ae5213969b50a8f03522cd849854f1721",
             "r2_offsets.npy":
-                "41a90d459400f9c160664f553540e3a0057424e0d702c199ef010e5382ff275b",
+                "f845f564d73b88fc02a4cb812c148d10548976c797d525c7f4cd9b88b3061632",
+        }
+
+    def test_pool_lt_index_files(self, pokec, tmp_path):
+        assert self._pool_index(pokec, "LT", tmp_path) == {
+            "r1_nodes.npy":
+                "ac044fb99bd9d4be02e4a615faa99c1130909ba335ff6dce1dc30514aa4e76f1",
+            "r1_offsets.npy":
+                "9f13f52c2cd114262c32f73f58cc40ff631177195be691c88368848603c5947d",
+            "r2_nodes.npy":
+                "302a99d2cdf74d680254a751eea23bea549c7221006a018ad2fe739ae15671f5",
+            "r2_offsets.npy":
+                "c82ed256c40a043c1602fcebf63ae43068bdd96ed64b8bf2b55eb1681e1211e1",
         }
 
     @pytest.mark.parametrize(
@@ -427,16 +427,3 @@ class TestLoadValidation:
         self._rewrite(saved, name, array(np.load(saved / name)))
         with pytest.raises(GraphFormatError, match="1-D int32"):
             load_index(saved, medium_graph)
-
-    def test_npz_collection_uses_the_same_checks(self, tmp_path):
-        collection = RRCollection(10)
-        collection.append_flat(*flat_of([np.array([1, 2]), np.array([3])]))
-        path = tmp_path / "c.npz"
-        save_collection(collection, path)
-        assert [s.tolist() for s in load_collection(path).sets()] == [[1, 2], [3]]
-        np.savez_compressed(
-            path, version=np.int64(1), n=np.int64(10),
-            rr_offsets=np.array([0, 2, 2, 3]), rr_nodes=np.array([1, 2, 3]),
-        )
-        with pytest.raises(GraphFormatError, match="non-empty"):
-            load_collection(path)

@@ -132,12 +132,55 @@ class TestIndex:
                 eng.load_index(tmp_path)
 
     def test_sampler_kind_mismatch_rejected(self, medium_graph, tmp_path):
-        with SeedQueryEngine(medium_graph, "IC", seed=42, workers=2) as eng:
+        """A stream state that is not a ``SamplingPool`` state cannot be
+        continued, so the engine refuses it."""
+        with SeedQueryEngine(medium_graph, "IC", seed=42) as eng:
             eng.extend(100)
             eng.save_index(tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["sampler_state"]["kind"] = "serial-kernel"
+        path.write_text(json.dumps(manifest))
         with SeedQueryEngine(medium_graph, "IC", seed=42) as eng:
-            with pytest.raises(ParameterError, match="deterministic"):
+            with pytest.raises(ParameterError, match="kind"):
                 eng.load_index(tmp_path)
+
+    @pytest.mark.parametrize("first, then", [(1, 2), (2, 1)])
+    def test_index_continues_at_any_worker_count(
+        self, medium_graph, tmp_path, first, then
+    ):
+        """An index written at one worker count warm-starts an engine
+        at another, which answers bitwise equal to an uninterrupted
+        engine."""
+        def script(engine, start):
+            answers = []
+            for k, target, extend in ((4, 0.3, 0), (6, 0.35, 600), (4, 0.4, 0)):
+                if extend:
+                    engine.extend(extend)
+                answers.append(engine.answer(k, alpha_target=target))
+            return answers[start:]
+
+        with SeedQueryEngine(medium_graph, "LT", seed=5, step=400) as ref:
+            expected = script(ref, 0)
+        with SeedQueryEngine(
+            medium_graph, "LT", seed=5, step=400, workers=first,
+            index_dir=tmp_path,
+        ) as eng:
+            eng.answer(4, alpha_target=0.3)
+            eng.checkpoint()
+        with SeedQueryEngine(
+            medium_graph, "LT", seed=5, step=400, workers=then,
+            index_dir=tmp_path,
+        ) as eng:
+            assert eng.loaded_from_index
+            eng.extend(600)
+            resumed = [
+                eng.answer(6, alpha_target=0.35),
+                eng.answer(4, alpha_target=0.4),
+            ]
+        for got, want in zip(resumed, expected[1:]):
+            for key in ("seeds", "alpha", "num_rr_sets", "sigma_low", "sampled"):
+                assert got[key] == want[key], key
 
     def test_v1_manifest_asks_for_rebuild(self, medium_graph, tmp_path):
         """An index written before the format bump is a stale cache."""
@@ -165,12 +208,13 @@ class TestIndex:
         with pytest.raises(GraphFormatError, match="rebuild the index"):
             SeedQueryEngine(medium_graph, "IC", seed=42, index_dir=tmp_path)
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_contract_v1_index_asks_for_rebuild(
         self, medium_graph, tmp_path, version
     ):
-        """Formats 2 and 3 hold streams of the kernel's RNG contract v1;
-        continued by contract v2 they would not replay bitwise."""
+        """Formats 2 and 3 hold streams of the kernel's RNG contract v1,
+        and format 4 a serial or chunk-seeded stream; continued by the
+        batch-seeded pool they would not replay bitwise."""
         with SeedQueryEngine(
             medium_graph, "IC", seed=42, index_dir=tmp_path
         ) as eng:
@@ -178,37 +222,13 @@ class TestIndex:
             eng.save_index()
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
-        assert manifest["version"] == INDEX_FORMAT_VERSION == 4
+        assert manifest["version"] == INDEX_FORMAT_VERSION == 5
         manifest["version"] = version
         path.write_text(json.dumps(manifest))
         with pytest.raises(GraphFormatError, match="rebuild the index"):
             load_index(tmp_path, medium_graph)
         with pytest.raises(GraphFormatError, match="rebuild the index"):
             SeedQueryEngine(medium_graph, "IC", seed=42, index_dir=tmp_path)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_legacy_sampler_state_asks_for_rebuild(
-        self, medium_graph, tmp_path, workers
-    ):
-        """A current-version manifest whose stream came from a removed
-        sampler (a ``"serial"`` state, or a pool state without a
-        kernel) is refused rather than continued on another stream."""
-        with SeedQueryEngine(
-            medium_graph, "IC", seed=42, workers=workers
-        ) as eng:
-            eng.extend(100)
-            eng.save_index(tmp_path)
-        path = tmp_path / "manifest.json"
-        manifest = json.loads(path.read_text())
-        state = manifest["sampler_state"]
-        if workers == 1:
-            state["kind"] = "serial"
-            del state["kernel"]
-        else:
-            del state["kernel"]
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(GraphFormatError, match="rebuild the index"):
-            load_index(tmp_path, medium_graph)
 
     def test_engine_hashes_the_graph_once(
         self, medium_graph, tmp_path, monkeypatch
@@ -421,7 +441,7 @@ class TestKernelEngine:
         answers = []
         for kernel in ("python", "vectorized"):
             with SeedQueryEngine(medium_graph, "IC", seed=7, step=400) as eng:
-                eng.sampler.kernel = kernel
+                eng.sampler._sampler.kernel = kernel
                 answers.append(eng.answer(4, alpha_target=0.2))
         for key in ("seeds", "alpha", "num_rr_sets", "sigma_low"):
             assert answers[0][key] == answers[1][key], key
@@ -429,8 +449,8 @@ class TestKernelEngine:
     def test_warm_start_continues_the_kernel_stream(
         self, medium_graph, tmp_path
     ):
-        """Warm-index restart: the manifest records the serial-kernel
-        sampler state and the reloaded engine continues the stream
+        """Warm-index restart: the manifest records the pool's stream
+        state and the reloaded engine continues the stream
         bitwise-identically to an uninterrupted engine issuing the same
         extend/answer sequence."""
         with SeedQueryEngine(medium_graph, "IC", seed=7, step=400) as ref:
@@ -921,7 +941,7 @@ class TestObservabilityEndpoints:
         assert chunks
         for chunk in chunks:
             assert chunk["worker_pid"] != os.getpid()
-            assert "chunk_seed" in chunk and "chunk_index" in chunk
+            assert "batch_index" in chunk and "batches" in chunk
 
     def test_client_supplied_trace_id_is_honored(self, engine):
         async def scenario():

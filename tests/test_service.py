@@ -3,16 +3,17 @@
 Covers the service's three contracts:
 
 * **Determinism** — for a fixed seed the RR-set stream is bitwise
-  identical across worker counts, across injected worker crashes, and
-  (for ``workers=1``) identical to running the chunk schedule serially
-  in-process.
+  identical across worker counts and across injected worker crashes,
+  and equal to its definition: batch ``b`` of the fills' split filled
+  by a fresh ``RRSampler`` seeded with ``SeedSequence(seed,
+  spawn_key=(b,))``.
 * **Crash recovery** — a killed worker is respawned and only its
-  outstanding chunk is re-issued, with the same chunk seed.
+  outstanding chunk is re-issued, with the same batches.
 * **Resource hygiene** — every ``SharedMemory`` segment is unlinked on
   ``close()``, on exceptions inside the context manager, and no
   ``resource_tracker`` leak warnings escape a full create/use/close
   cycle (checked in a subprocess, where the tracker's exit-time report
-  is observable).
+  is observable); ``workers=1`` creates none.
 """
 
 from __future__ import annotations
@@ -29,15 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError, ServiceError
+from repro.graph import assign_wc_weights, power_law_graph
 from repro.obs import MetricsRegistry
 from repro.sampling.collection import RRCollection
-from repro.sampling.kernel import RRSampler
-from repro.sampling.service import (
-    SamplingPool,
-    chunk_schedule,
-    chunk_seed,
-    generate_chunk,
-)
+from repro.sampling.kernel import RRSampler, batch_cap
+from repro.sampling.service import SamplingPool, batch_rng, batch_schedule
 
 
 def _sets(collection):
@@ -50,104 +47,145 @@ def _identical(a, b):
     )
 
 
-class TestChunkSchedule:
-    """The chunk policy is the determinism contract — property-test it."""
+@pytest.fixture(scope="module")
+def wide_graph():
+    """A graph wide enough that a batch holds 559 sets, so a fill of a
+    few thousand spans several batches (and dispatch chunks)."""
+    return assign_wc_weights(power_law_graph(30_000, 2, seed=5, name="wide"))
+
+
+def _batch_reference(graph, model, seed, quotas, kernel="vectorized"):
+    """The stream by its definition: each fill splits into batches of
+    at most ``batch_cap(n)`` sets, and batch ``b`` (counted across
+    fills) is filled by a fresh sampler seeded with
+    ``SeedSequence(seed, spawn_key=(b,))``.  Returns the sets and the
+    edges examined per batch."""
+    cap = batch_cap(graph.n)
+    sets, edges = [], []
+    index = 0
+    for quota in quotas:
+        remaining = quota
+        while remaining:
+            size = min(cap, remaining)
+            sampler = RRSampler(
+                graph,
+                model,
+                seed=np.random.SeedSequence(seed, spawn_key=(index,)),
+                kernel=kernel,
+            )
+            sets.extend(sampler.new_collection(size).sets())
+            edges.append(sampler.edges_examined)
+            index += 1
+            remaining -= size
+    return sets, edges
+
+
+def _pool_sets(graph, model, seed, quotas, **kwargs):
+    with SamplingPool(graph, model, seed=seed, **kwargs) as pool:
+        collection = pool.new_collection()
+        for quota in quotas:
+            pool.fill(collection, quota)
+    return _sets(collection)
+
+
+class TestBatchSchedule:
+    """The batch split and the batch seeds are the determinism
+    contract — property-test them."""
 
     @given(
         count=st.integers(min_value=0, max_value=50_000),
         start=st.integers(min_value=0, max_value=1_000),
-        min_chunk=st.integers(min_value=1, max_value=512),
-        target=st.integers(min_value=1, max_value=64),
+        cap=st.integers(min_value=1, max_value=4_096),
     )
     @settings(max_examples=200, deadline=None)
-    def test_schedule_partitions_the_quota(
-        self, count, start, min_chunk, target
-    ):
-        schedule = chunk_schedule(count, start, min_chunk, target)
+    def test_schedule_partitions_the_quota(self, count, start, cap):
+        schedule = batch_schedule(count, start, cap)
         assert sum(c for _, c in schedule) == count
         assert [i for i, _ in schedule] == list(
             range(start, start + len(schedule))
         )
-        # Quota-proportional with a floor: every chunk but the last is
-        # exactly max(min_chunk, ceil(count/target)).
+        # RRSampler.fill's split: full batches, then the remainder.
+        assert len(schedule) == -(-count // cap)
+        assert all(c == cap for _, c in schedule[:-1])
         if schedule:
-            size = max(min_chunk, -(-count // target))
-            assert all(c == size for _, c in schedule[:-1])
-            assert 1 <= schedule[-1][1] <= size
-            assert len(schedule) <= max(1, -(-count // min_chunk))
+            assert 1 <= schedule[-1][1] <= cap
 
-    def test_schedule_is_independent_of_worker_count(self):
-        # No ``workers`` argument exists at all; the policy only sees
-        # the quota. This is what makes output worker-count invariant.
-        assert chunk_schedule(1000, 0) == chunk_schedule(1000, 0)
+    def test_schedule_is_the_sampler_fill_split(self, wide_graph):
+        registry = MetricsRegistry()
+        sampler = RRSampler(wide_graph, "IC", seed=1, registry=registry)
+        sampler.new_collection(2000)
+        cap = batch_cap(wide_graph.n)
+        assert registry.counter_values()["kernel.batches"] == len(
+            batch_schedule(2000, 0, cap)
+        )
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
-            chunk_schedule(-1)
+            batch_schedule(-1, 0, 10)
         with pytest.raises(ParameterError):
-            chunk_schedule(10, min_chunk=0)
-        with pytest.raises(ParameterError):
-            chunk_schedule(10, target_chunks=0)
+            batch_schedule(10, 0, 0)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         index=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=100, deadline=None)
-    def test_chunk_seed_is_a_pure_function(self, seed, index):
-        assert chunk_seed(seed, index) == chunk_seed(seed, index)
+    def test_batch_rng_is_a_pure_function(self, seed, index):
+        expected = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(index,))
+        ).random(4)
+        assert np.array_equal(batch_rng(seed, index).random(4), expected)
 
-    def test_chunk_seeds_differ_across_indices(self):
-        seeds = {chunk_seed(7, i) for i in range(64)}
-        assert len(seeds) == 64
+    def test_batch_streams_differ_across_indices(self):
+        draws = {int(batch_rng(7, i).integers(2**62)) for i in range(64)}
+        assert len(draws) == 64
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_bitwise_identical_across_worker_counts(
-        self, small_graph, workers
+        self, wide_graph, workers
     ):
-        with SamplingPool(small_graph, "IC", workers=1, seed=42) as pool:
-            reference = pool.new_collection(150)
-            pool.fill(reference, 70)
-        with SamplingPool(small_graph, "IC", workers=workers, seed=42) as pool:
-            parallel = pool.new_collection(150)
-            pool.fill(parallel, 70)
-        assert _identical(_sets(reference), _sets(parallel))
+        reference = _pool_sets(wide_graph, "IC", 42, (1500, 700), workers=1)
+        parallel = _pool_sets(
+            wide_graph, "IC", 42, (1500, 700), workers=workers
+        )
+        assert _identical(reference, parallel)
 
-    def test_lt_identical_across_worker_counts(self, small_graph):
-        outputs = []
-        for workers in (1, 2):
-            with SamplingPool(
-                small_graph, "LT", workers=workers, seed=9
-            ) as pool:
-                outputs.append(_sets(pool.new_collection(80)))
+    def test_lt_identical_across_worker_counts(self, wide_graph):
+        outputs = [
+            _pool_sets(wide_graph, "LT", 9, (1300,), workers=workers)
+            for workers in (1, 2)
+        ]
         assert _identical(outputs[0], outputs[1])
 
-    def test_workers_1_matches_serial_chunk_generation(self, small_graph):
-        """``workers=1`` IS the serial generator: the same pure
-        ``generate_chunk`` calls over the same schedule and seeds."""
-        count, seed = 100, 11
-        with SamplingPool(small_graph, "IC", workers=1, seed=seed) as pool:
-            out = pool.new_collection(count)
-        serial = []
-        for index, chunk in chunk_schedule(count):
-            flat, offsets, _, _ = generate_chunk(
-                small_graph, "IC", chunk_seed(seed, index), chunk
-            )
-            serial.extend(
-                flat[offsets[i] : offsets[i + 1]]
-                for i in range(offsets.shape[0] - 1)
-            )
-        assert _identical(serial, _sets(out))
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("model", ["IC", "LT"])
+    def test_pool_matches_batch_by_batch_reference(
+        self, wide_graph, model, workers
+    ):
+        """The pool's stream is its definition, at every worker count:
+        fills split into batches, each from its own seed sequence."""
+        quotas = (1500, 40, 700)
+        expected, _ = _batch_reference(wide_graph, model, 11, quotas)
+        got = _pool_sets(wide_graph, model, 11, quotas, workers=workers)
+        assert _identical(expected, got)
+
+    def test_pool_matches_batch_reference_under_crashes(self, wide_graph):
+        quotas = (1500, 40, 700)
+        expected, _ = _batch_reference(wide_graph, "IC", 11, quotas)
+        with SamplingPool(
+            wide_graph, "IC", workers=2, seed=11, inject_crash_chunks={1, 4}
+        ) as pool:
+            collection = pool.new_collection()
+            for quota in quotas:
+                pool.fill(collection, quota)
+            assert pool.restarts == 2
+        assert _identical(expected, _sets(collection))
 
     def test_repeated_fill_sequences_reproduce(self, small_graph):
         def run():
-            with SamplingPool(small_graph, "IC", workers=2, seed=3) as pool:
-                collection = pool.new_collection()
-                for quota in (40, 90, 10):
-                    pool.fill(collection, quota)
-            return _sets(collection)
+            return _pool_sets(small_graph, "IC", 3, (40, 90, 10), workers=2)
 
         assert _identical(run(), run())
 
@@ -179,16 +217,39 @@ class TestDeterminism:
             resumed.fill(continued, 120)
         assert _identical(_sets(reference), _sets(continued))
 
+    @pytest.mark.parametrize("first, then", [(1, 2), (2, 1)])
+    def test_state_continues_at_another_worker_count(
+        self, wide_graph, first, then
+    ):
+        quotas = (1500, 700)
+        expected, _ = _batch_reference(wide_graph, "LT", 5, quotas)
+        with SamplingPool(wide_graph, "LT", workers=first, seed=5) as pool:
+            collection = pool.new_collection(quotas[0])
+            state = pool.state()
+        with SamplingPool.from_state(
+            wide_graph, "LT", state, workers=then
+        ) as resumed:
+            resumed.fill(collection, quotas[1])
+            assert resumed.sets_generated == sum(quotas)
+        assert _identical(expected, _sets(collection))
+
     def test_from_state_rejects_foreign_kind(self, small_graph):
         with pytest.raises(ParameterError, match="kind"):
             SamplingPool.from_state(
                 small_graph, "IC", {"kind": "serial", "seed": 1}
             )
 
+    def test_restore_rejects_another_seed(self, small_graph):
+        with SamplingPool(small_graph, "IC", workers=1, seed=1) as pool:
+            state = pool.state()
+        with SamplingPool(small_graph, "IC", workers=1, seed=2) as pool:
+            with pytest.raises(ParameterError, match="seed"):
+                pool.restore_state(state)
+
 
 class TestVectorizedKernelDeterminism:
-    """Every pool chunk runs the vectorized kernel, which obeys the
-    frozen RNG contract: chunks are bitwise identical to the python
+    """Every pool batch runs the vectorized kernel, which obeys the
+    frozen RNG contract: batches are bitwise identical to the python
     reference kernel, and the pool's determinism contracts (worker
     counts, injected crashes, ``from_state`` handoff) hold on it."""
 
@@ -207,35 +268,31 @@ class TestVectorizedKernelDeterminism:
         assert _identical(_sets(reference), _sets(parallel))
 
     @pytest.mark.parametrize("model", ["IC", "LT"])
-    def test_kernel_chunks_match_python_kernel(self, small_graph, model):
-        """Per-chunk bitwise oracle: ``generate_chunk`` equals one fill
-        of a python-kernel sampler seeded with the chunk seed."""
-        for index, chunk in chunk_schedule(120):
-            seed = chunk_seed(17, index)
-            flat, offsets, edges, _ = generate_chunk(
-                small_graph, model, seed, chunk
-            )
-            oracle = RRSampler(small_graph, model, seed=seed, kernel="python")
-            expected = oracle.new_collection(chunk).sets()
-            assert _identical(
-                [flat[offsets[i] : offsets[i + 1]] for i in range(chunk)],
-                expected,
-            )
-            assert edges == oracle.edges_examined
+    def test_kernel_chunks_match_python_kernel(self, wide_graph, model):
+        """Per-batch bitwise oracle: the pool's batches equal fills of
+        python-kernel samplers seeded with the batch seeds, and so do
+        the edges examined."""
+        expected, edges = _batch_reference(
+            wide_graph, model, 17, (1200,), kernel="python"
+        )
+        with SamplingPool(wide_graph, model, workers=1, seed=17) as pool:
+            got = _sets(pool.new_collection(1200))
+            assert pool.edges_examined == sum(edges)
+        assert len(edges) == 3
+        assert _identical(expected, got)
 
-    def test_output_identical_under_injected_crashes(self, small_graph):
-        with SamplingPool(small_graph, "IC", workers=1, seed=42) as pool:
-            reference = _sets(pool.new_collection(200))
+    def test_output_identical_under_injected_crashes(self, wide_graph):
+        reference = _pool_sets(wide_graph, "IC", 42, (2500,), workers=1)
         registry = MetricsRegistry()
         with SamplingPool(
-            small_graph,
+            wide_graph,
             "IC",
             workers=2,
             seed=42,
             registry=registry,
             inject_crash_chunks={0, 4},
         ) as pool:
-            recovered = _sets(pool.new_collection(200))
+            recovered = _sets(pool.new_collection(2500))
             assert pool.restarts == 2
         assert _identical(reference, recovered)
         assert registry.counter_values()["service.worker_restarts"] == 2
@@ -262,19 +319,18 @@ class TestVectorizedKernelDeterminism:
 
 
 class TestCrashRecovery:
-    def test_output_identical_under_injected_crashes(self, small_graph):
-        with SamplingPool(small_graph, "IC", workers=1, seed=42) as pool:
-            reference = _sets(pool.new_collection(200))
+    def test_output_identical_under_injected_crashes(self, wide_graph):
+        reference = _pool_sets(wide_graph, "IC", 42, (2500,), workers=1)
         registry = MetricsRegistry()
         with SamplingPool(
-            small_graph,
+            wide_graph,
             "IC",
             workers=2,
             seed=42,
             registry=registry,
             inject_crash_chunks={0, 4},
         ) as pool:
-            recovered = _sets(pool.new_collection(200))
+            recovered = _sets(pool.new_collection(2500))
             assert pool.restarts == 2
         assert _identical(reference, recovered)
         counters = registry.counter_values()
@@ -286,12 +342,13 @@ class TestCrashRecovery:
         ) as pool:
             first = pool.new_collection(100)
             second = pool.new_collection(100)
+            assert pool.restarts == 1
         assert len(first) == 100 and len(second) == 100
 
-    def test_restart_budget_exhaustion_raises(self, small_graph):
-        # Crash every chunk of the first fill with a budget of 1.
+    def test_restart_budget_exhaustion_raises(self, wide_graph):
+        # Crash every chunk of a five-batch fill with a budget of 1.
         with SamplingPool(
-            small_graph,
+            wide_graph,
             "IC",
             workers=2,
             seed=5,
@@ -299,7 +356,7 @@ class TestCrashRecovery:
             max_restarts=1,
         ) as pool:
             with pytest.raises(ServiceError, match="restart budget"):
-                pool.fill(pool.new_collection(), 200)
+                pool.fill(pool.new_collection(), 2500)
 
 
 class TestSamplerInterface:
@@ -363,7 +420,8 @@ class TestSharedMemoryHygiene:
     def test_segments_unlinked_after_close(self, small_graph, workers):
         pool = SamplingPool(small_graph, "IC", workers=workers, seed=1)
         names = pool.segment_names
-        assert len(names) == 6  # the six CSR arrays
+        # The six CSR arrays, shared only with worker processes.
+        assert len(names) == (6 if workers > 1 else 0)
         pool.fill(pool.new_collection(), 50)
         pool.close()
         for name in names:
@@ -381,6 +439,17 @@ class TestSharedMemoryHygiene:
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+    def test_in_process_pool_shares_no_memory(self, small_graph):
+        """``workers=1`` samples in the caller's process: no worker
+        reads a segment, so none is created."""
+        registry = MetricsRegistry()
+        with SamplingPool(
+            small_graph, "IC", workers=1, seed=1, registry=registry
+        ) as pool:
+            pool.fill(pool.new_collection(), 50)
+            assert pool.segment_names == []
+        assert "service.shm_bytes" not in registry.gauge_values()
 
     def test_close_is_idempotent(self, small_graph):
         pool = SamplingPool(small_graph, "IC", workers=2, seed=1)
