@@ -5,7 +5,7 @@ BENCH_guarantees.json`` and gated by ``repro-opim bench compare``:
 
 * **Guarantee acceptance** — every serve-path scenario of
   :mod:`repro.stats_harness` (cold, warm-index restart, adopted-sketch
-  multi-k, repeated queries, serial/pool streams) at 120 trials on the
+  multi-k, repeated queries, pool stream, cluster path) at 120 trials on the
   exact-oracle graph; the gated headline is the worst per-label
   Clopper–Pearson upper bound, which must stay within ``delta``.
 * **Stopping cost** — paired paper-vs-sadeh OPIM-C runs on the
@@ -140,14 +140,18 @@ def _run_guarantee_bench():
             )
         )
     # Hard regime: the loose vanilla deviation bound keeps the alpha
-    # exit from firing early, so the Sadeh cap is what stops the run
+    # exit from firing early, so the Sadeh cap is what stops most runs
     # and the sadeh/paper ratio drops strictly below 1.  At k = 1 the
     # cap's union term k (1 + ln 2) = 1.69 is well under ln C(120, 1)
-    # = 4.79, so the cap sits far below each doubling the paper rule
-    # takes and binds on every trial, not only on a trial whose stream
-    # happens to need one more doubling.  (At the earlier k = 2,
-    # epsilon = 0.05 it bound on one trial of five, and after the
-    # sampler's stream changed it bound on none: ratio 1.0.)
+    # = 4.79, so the cap sits below the doubling most trials' paper
+    # runs take.  Whether it binds on a given trial is still a draw:
+    # the paper rule's alpha exit fires at the doubling below the cap
+    # on about a third of the trials (7 of the 20 with entropy 2018 on
+    # RNG contract v2's stream, 8 of 20 on v3's), so the
+    # per-trial check below is the exact one, that the cap cuts a run
+    # exactly when it binds.  (At the earlier k = 2, epsilon = 0.05 it
+    # bound on one trial of five, and after the sampler's stream
+    # changed it bound on none: ratio 1.0.)
     stopping_runs.append(
         compare_stopping(
             assign_wc_weights(
@@ -212,11 +216,17 @@ def test_guarantee_acceptance_bench(benchmark):
     # on every bench graph, and never more than the paper rule...
     assert summary["max_rr_ratio_sadeh_vs_theta_max"] < 1.0
     assert summary["max_rr_ratio_sadeh_vs_paper"] <= 1.0
-    # ...and strictly fewer where the cap binds (the vanilla config),
-    # on every one of its trials.
+    # ...and strictly fewer where the cap binds (the vanilla config).
+    # Per trial, on every graph: the sadeh run samples fewer RR sets
+    # exactly when its cap cut the run; otherwise it draws the paper
+    # run's sets.  The cap cuts at least one vanilla trial.
     assert summary["min_rr_ratio_sadeh_vs_paper"] < 1.0
+    for run in payload["stopping"]:
+        for row in run["rows"]:
+            assert (row["sadeh"] < row["paper"]) == row["cut"], run
+            assert row["sadeh"] <= row["paper"], run
     hard = payload["stopping"][-1]
-    assert all(row["sadeh"] < row["paper"] for row in hard["rows"]), hard
+    assert any(row["cut"] for row in hard["rows"]), hard
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / RESULT_NAME

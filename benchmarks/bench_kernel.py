@@ -28,11 +28,10 @@ are the ``tracemalloc`` peak of building a sampler and filling
 today's batch width would read about 8x the matrix.
 
 Last, the serve engine samples through a ``workers=1``
-:class:`~repro.sampling.service.SamplingPool`, which reseeds one
-in-process ``RRSampler`` per kernel batch.  ``pool.*_ratio`` is its
-fill time over a plain ``RRSampler`` fill of the same sets (the
-sampler is seeded with the pool's first batch seed, so both draw the
-same single batch), the median of :data:`POOL_REPEATS` alternating
+:class:`~repro.sampling.service.SamplingPool`, a thin wrapper over one
+in-process ``RRSampler``.  ``pool.*_ratio`` is its fill time over a
+plain ``RRSampler`` fill of the same sets (both seeded alike, so both
+draw the same batches), the median of :data:`POOL_REPEATS` alternating
 fills each.  ``BENCH_baseline.json`` gates the ratios near 1; a pool
 that rebuilt its tables or narrowed its batches per fill would read
 several times that.
@@ -109,12 +108,11 @@ def _timed_fill(sampler, count):
 def _pool_ratio(graph, model, count):
     """Median ``workers=1`` pool fill seconds over median sampler fill
     seconds, fresh objects each repeat, the two sides alternating."""
-    first_batch = np.random.SeedSequence(SEED, spawn_key=(0,))
     pool_times, sampler_times = [], []
     for _ in range(POOL_REPEATS):
         with SamplingPool(graph, model, workers=1, seed=SEED) as pool:
             pool_times.append(_timed_fill(pool, count))
-        sampler = RRSampler(graph, model, seed=first_batch)
+        sampler = RRSampler(graph, model, seed=SEED)
         sampler_times.append(_timed_fill(sampler, count))
     pool_s = statistics.median(pool_times)
     sampler_s = statistics.median(sampler_times)

@@ -102,19 +102,24 @@ def ssa_fix(
             greedy_result = greedy_max_coverage(r1, k)
 
             if greedy_result.coverage >= lambda_1:
-                # Stare: stopping-rule estimate on an independent stream.
-                r2 = sampler.new_collection()
-                covered = 0
-                seeds = set(greedy_result.seeds)
+                # Stare: stopping-rule estimate on an independent
+                # stream, in blocks of fresh sets.  A set adds at most 1
+                # to the covered count, so a block of at most
+                # ceil(lambda_2 - covered) sets can reach lambda_2 only
+                # with its last set: the blocks stop exactly where a
+                # one-set-at-a-time loop would, and leave no unread sets.
+                covered = read = 0
                 cap = 4 * len(r1) + 1000
-                while covered < lambda_2 and len(r2) < cap:
-                    budget_check(1)
-                    nodes = sampler.sample_one()
-                    r2.append(nodes)
-                    if not seeds.isdisjoint(nodes.tolist()):
-                        covered += 1
+                while covered < lambda_2 and read < cap:
+                    block = min(math.ceil(lambda_2 - covered), cap - read)
+                    if rr_budget is not None:
+                        block = min(block, rr_budget - sampler.sets_generated)
+                    budget_check(max(block, 1))
+                    block_sets = sampler.new_collection(block)
+                    covered += block_sets.coverage(greedy_result.seeds)
+                    read += block
                 if covered >= lambda_2:
-                    sigma_validated = n * covered / len(r2)
+                    sigma_validated = n * covered / read
                     sigma_greedy = n * greedy_result.coverage / len(r1)
                     if sigma_greedy <= (1.0 + eps1) * sigma_validated:
                         validated = True

@@ -29,15 +29,17 @@ from repro.core.theta import log_binomial
 from repro.exceptions import BudgetExceededError
 from repro.graph.digraph import DiGraph
 from repro.maxcover.greedy import greedy_max_coverage
+from repro.sampling.collection import RRCollection
 from repro.sampling.kernel import RRSampler
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
 from repro.utils.validation import check_delta, check_epsilon, check_k
 
 
-def _rr_width(graph: DiGraph, nodes: np.ndarray) -> int:
-    """``w(R)``: number of edges entering the RR set's nodes."""
-    return int(graph.in_degree()[nodes].sum())
+def _rr_widths(graph: DiGraph, collection: RRCollection) -> np.ndarray:
+    """``w(R)`` of every RR set: the number of edges entering its nodes."""
+    nodes, offsets = collection.flat()
+    return np.add.reduceat(graph.in_degree()[nodes], offsets[:-1])
 
 
 def tim_plus(
@@ -87,11 +89,8 @@ def tim_plus(
                 * (2.0**i)
             )
             budget_check(c_i)
-            total_kappa = 0.0
-            for _ in range(c_i):
-                nodes = sampler.sample_one()
-                width = _rr_width(graph, nodes)
-                total_kappa += 1.0 - (1.0 - width / m) ** k if m else 0.0
+            widths = _rr_widths(graph, sampler.new_collection(c_i))
+            total_kappa = float((1.0 - (1.0 - widths / m) ** k).sum()) if m else 0.0
             if total_kappa / c_i > 1.0 / (2.0**i):
                 kpt = n * total_kappa / (2.0 * c_i)
                 break

@@ -43,7 +43,6 @@ from repro.maxcover.bounds import (
 from repro.maxcover.greedy import GreedyResult, SharedGreedy, greedy_max_coverage
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
-from repro.sampling.kernel import RRSampler
 from repro.sampling.service import SamplingPool
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
@@ -75,13 +74,18 @@ class OnlineOPIM:
         and counters; every query also appends one telemetry row to
         :attr:`alpha_trajectory` and emits an ``alpha_row`` event.
     workers:
-        When ``> 1``, stream RR sets through a persistent
-        :class:`~repro.sampling.service.SamplingPool` owned by this
-        instance — the worker pool and the shared-memory graph stay
-        warm across every ``extend``/``query`` pause/resume step.
-        Call :meth:`close` (or use the instance as a context manager)
-        when done; an externally managed pool can be passed via
-        ``sampler=`` instead.
+        Worker processes of the
+        :class:`~repro.sampling.service.SamplingPool` this instance
+        owns and streams RR sets through (default 1, in process).  The
+        RR sets are the same at every count; with ``> 1`` the worker
+        pool and the shared-memory graph stay warm across every
+        ``extend``/``query`` pause/resume step.  Call :meth:`close` (or
+        use the instance as a context manager) when done.
+    sampler:
+        A sampler to stream from instead, bound to *graph* (e.g. an
+        :class:`~repro.sampling.kernel.RRSampler` on a triggering
+        model, per the paper's Section 6, or an externally managed
+        pool); the caller keeps it.
 
     Examples
     --------
@@ -125,25 +129,14 @@ class OnlineOPIM:
         self.delta = float(delta)
         self.bound = bound
         self.obs = resolve_registry(registry)
-        self._owns_pool = False
-        if sampler is not None:
-            # Custom sampler injection (e.g. an RRSampler on a
-            # non-IC/LT triggering model, per the paper's Section 6,
-            # or an externally managed SamplingPool).
-            if sampler.graph is not graph:
-                raise ParameterError("sampler must be bound to the same graph")
-            self.sampler = sampler
-        elif workers is not None and workers > 1:
-            self.sampler = SamplingPool(
-                graph,
-                model,
-                workers=workers,
-                seed=seed,
-                registry=self.obs,
+        if sampler is not None and sampler.graph is not graph:
+            raise ParameterError("sampler must be bound to the same graph")
+        self._owns_pool = sampler is None
+        if sampler is None:
+            sampler = SamplingPool(
+                graph, model, workers=workers or 1, seed=seed, registry=self.obs
             )
-            self._owns_pool = True
-        else:
-            self.sampler = RRSampler(graph, model, seed=seed, registry=self.obs)
+        self.sampler = sampler
         self.r1 = self.sampler.new_collection()
         self.r2 = self.sampler.new_collection()
         self.timer = Timer()
@@ -159,9 +152,9 @@ class OnlineOPIM:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the owned sampling pool, if ``workers > 1`` created
-        one (no-op otherwise; Section 4's pause/resume loop holds the
-        pool open until the session is over)."""
+        """Release the owned sampling pool (no-op for an injected
+        sampler; Section 4's pause/resume loop holds the pool open
+        until the session is over)."""
         if self._owns_pool:
             self.sampler.close()
 

@@ -26,7 +26,7 @@ early-exit test fires — the quantity Figures 6(b)/7(b) compare.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Optional
 
 from repro.bounds.concentration import (
     approximation_guarantee,
@@ -43,7 +43,6 @@ from repro.maxcover.bounds import (
 )
 from repro.maxcover.greedy import GreedyResult, greedy_max_coverage
 from repro.obs import resolve_registry
-from repro.sampling.kernel import RRSampler
 from repro.sampling.service import SamplingPool
 from repro.utils.rng import SeedLike
 from repro.utils.timer import Timer
@@ -68,13 +67,15 @@ class OPIMC:
     (``opimc/iter_<i>/sampling`` / ``greedy`` / ``bounds``), sampling
     counters, and one ``alpha_row`` event per doubling iteration.
 
-    ``workers > 1`` runs all sampling through a persistent
-    :class:`~repro.sampling.service.SamplingPool` that stays warm
-    across every doubling iteration of a run (Algorithm 2 regenerates
-    RR sets each iteration, so amortizing the pool setup is what makes
-    the parallel path pay off).  Alternatively an already-open ``pool``
-    may be injected and shared across multiple runs; the caller owns
-    its lifetime.
+    Each run samples through one
+    :class:`~repro.sampling.service.SamplingPool` of ``workers``
+    processes (default 1, in process), which stays warm across every
+    doubling iteration of the run (Algorithm 2 regenerates RR sets each
+    iteration, so amortizing the pool setup is what makes the parallel
+    path pay off).  The RR sets, hence the answer, are the same at
+    every worker count.  Alternatively an already-open ``pool`` may be
+    injected and shared across multiple runs; the caller owns its
+    lifetime.
 
     ``stopping`` selects the unconditional-acceptance cap on ``|R1|``:
     ``"paper"`` (Eq. 16's ``theta_max``) or ``"sadeh"`` (the
@@ -115,21 +116,6 @@ class OPIMC:
         self.pool = pool
         self._seed = seed
 
-    def _make_sampler(self) -> Any:
-        if self.pool is not None:
-            return self.pool
-        if self.workers is not None and self.workers > 1:
-            return SamplingPool(
-                self.graph,
-                self.model,
-                workers=self.workers,
-                seed=self._seed,
-                registry=self.obs,
-            )
-        return RRSampler(
-            self.graph, self.model, seed=self._seed, registry=self.obs
-        )
-
     def _coverage_upper(
         self, greedy_result: GreedyResult, variant: str
     ) -> float:
@@ -166,12 +152,20 @@ class OPIMC:
         algorithm = _VARIANT_NAMES[self.bound]
         trajectory = []
         timer = Timer()
-        sampler = self._make_sampler()
+        owns_pool = self.pool is None
+        sampler = self.pool
+        if sampler is None:
+            sampler = SamplingPool(
+                graph,
+                self.model,
+                workers=self.workers or 1,
+                seed=self._seed,
+                registry=obs,
+            )
         # A pool injected via ``pool=`` may carry counts from earlier
         # runs; account in deltas so num_rr_sets stays per-run.
         base_sets = sampler.sets_generated
         base_edges = sampler.edges_examined
-        owns_pool = isinstance(sampler, SamplingPool) and sampler is not self.pool
         try:
             with timer, obs.trace("opimc"):
                 t_max = theta_max(graph.n, k, epsilon, delta)

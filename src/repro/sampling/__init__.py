@@ -5,7 +5,10 @@ from repro.sampling.collection import RRCollection
 from repro.sampling.hop import HopEstimator
 from repro.sampling.kernel import (
     RRSampler,
+    batch_rng,
+    batch_schedule,
     resolve_kernel,
+    resolve_seed,
     sample_rr_sets_kernel,
 )
 from repro.sampling.rrset_lt import LTAliasTables
@@ -14,7 +17,7 @@ from repro.sampling.rrset_triggering import (
     ic_triggering_sets,
     lt_triggering_sets,
 )
-from repro.sampling.service import SamplingPool, batch_rng, batch_schedule
+from repro.sampling.service import SamplingPool
 
 __all__ = [
     "AliasTable",
@@ -26,6 +29,7 @@ __all__ = [
     "sample_rr_sets_kernel",
     "batch_rng",
     "batch_schedule",
+    "resolve_seed",
     "LTAliasTables",
     "ic_triggering_sets",
     "lt_triggering_sets",

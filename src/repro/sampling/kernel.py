@@ -1,9 +1,9 @@
 """Frontier-batched RR-sampling kernels and the sampler that drives them.
 
-:class:`RRSampler` is the one way the program draws RR sets: OPIM,
-OPIM-C, the baselines and every
-:class:`~repro.sampling.service.SamplingPool` (the serve engine's
-sampler) all sample through it.  It hands batches of roots to a
+:class:`RRSampler` is the one RR stream of the program: OPIM, OPIM-C,
+the baselines and every :class:`~repro.sampling.service.SamplingPool`
+(the serve engine's sampler, which runs the same stream in worker
+processes) all sample through it.  It hands batches of roots to a
 *kernel* whose defining property is a **frozen RNG-consumption
 contract** with two interchangeable implementations:
 
@@ -16,22 +16,24 @@ contract** with two interchangeable implementations:
     gather/scatter over the CSR in-adjacency.  Bitwise-identical to
     ``"python"``.
 
-The RNG contract, version 2 (per sampler, seeded once)
-------------------------------------------------------
-1. Batching: a sampler draws RR sets in batches of at most
-   :func:`batch_cap` ``(n) = max(1, 2 MiB // ((n + 7) // 8))`` sets,
-   so a batch's bit-packed ``(batch, n)`` visited matrix stays within
-   2 MiB for every model.
-   ``fill(count)`` first hands out sets buffered by ``sample_one``,
-   then draws consecutive batches of ``min(cap, remaining)`` sets and
-   appends them in stream order; ``sample_one()`` draws batches of
-   ``min(cap, 256)`` sets and hands them out one at a time.  The split
-   is a pure function of ``(n, count)``; a
-   :class:`~repro.sampling.service.SamplingPool` draws its stream in
-   the same batches, each from its own seed.  The roots of a batch of
-   ``b`` sets are drawn with **one** call, ``rng.integers(0, n,
-   size=b)`` (or one weighted draw, see
-   :meth:`RRSampler._draw_roots`).
+The RNG contract, version 3 (per batch, seeded by index)
+--------------------------------------------------------
+1. Batching and seeding: a sampler's stream is a root integer seed
+   (see :func:`resolve_seed`) and the index of its next batch.  A
+   ``fill(count)`` splits into consecutive batches of ``min(cap,
+   remaining)`` sets, :func:`batch_schedule` with :func:`batch_cap`
+   ``(n) = max(1, 2 MiB // ((n + 7) // 8))``, so a batch's bit-packed
+   ``(batch, n)`` visited matrix stays within 2 MiB for every model.
+   Batches are indexed across fills, and batch ``b`` draws everything
+   (its roots and its kernel coins) from its own generator,
+   :func:`batch_rng` ``(seed, b) = default_rng(SeedSequence(seed,
+   spawn_key=(b,)))``.  The stream is thus a pure function of the seed
+   and the sequence of fill quotas, and every batch is an independent
+   draw addressable by its index alone; a
+   :class:`~repro.sampling.service.SamplingPool` draws the same batches
+   in other processes.  The roots of a batch of ``b`` sets are drawn
+   first, with **one** call, ``rng.integers(0, n, size=b)`` (or one
+   weighted draw, see :meth:`RRSampler._draw_roots`).
 2. IC, by skip and thin (the subset sampling of SUBSIM, Guo et al.,
    SIGMOD 2020).  Each frontier level runs its entries in (set
    ascending, node ascending) order; ``p_max(u)`` is the largest
@@ -61,14 +63,17 @@ The RNG contract, version 2 (per sampler, seeded once)
 
 Both kernels consume the generator in exactly this order, which is
 what makes them interchangeable *per (batch, set-index)*: every batch
-of a :class:`~repro.sampling.service.SamplingPool` — and therefore
-every manifest, warm-index restart, and crash-requeued stream —
-reproduces bitwise.  Version 1 (one coin per IC in-edge, batches of
-``2 MiB // n`` sets) drew a different stream; the sketch index format
-changed with it.  ``edges_examined`` (the gamma cost measure of Borgs
-et al.'s online analysis) is identical across kernels and versions:
-IC charges each expanded node its in-degree, LT charges one edge per
-surviving walk step, and triggering charges the in-degree worst case.
+of every sampler — and therefore every manifest, warm-index restart,
+and crash-requeued stream — reproduces bitwise.  Version 1 (one coin
+per IC in-edge, batches of ``2 MiB // n`` sets) and version 2 (one
+generator per sampler, seeded once, and a one-set-at-a-time draw that
+buffered the rest of its batch) drew other streams; version 2's
+batch-seeded ``SamplingPool`` stream is version 3's, so sketch index
+format 5 is unchanged.  ``edges_examined`` (the gamma cost measure of
+Borgs et al.'s online analysis) is identical across kernels and
+versions: IC charges each expanded node its in-degree, LT charges one
+edge per surviving walk step, and triggering charges the in-degree
+worst case.
 """
 
 from __future__ import annotations
@@ -86,15 +91,17 @@ from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection, stable_key_order
 from repro.sampling.rrset_lt import LTAliasTables
 from repro.sampling.rrset_triggering import TriggeringSetSampler
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, fresh_entropy
 
 __all__ = [
     "KERNELS",
     "KernelOutput",
     "AUTO_KERNEL",
     "BATCH_BYTES",
-    "SAMPLE_ONE_BATCH",
     "batch_cap",
+    "batch_rng",
+    "batch_schedule",
+    "resolve_seed",
     "ICSkipTables",
     "resolve_kernel",
     "sample_rr_sets_kernel",
@@ -116,13 +123,58 @@ AUTO_KERNEL = "auto"
 #: (RNG-contract item 1).
 BATCH_BYTES = 2 * 1024 * 1024
 
-#: RR sets one ``sample_one`` refill draws (at most the cap).
-SAMPLE_ONE_BATCH = 256
-
 
 def batch_cap(n: int) -> int:
     """Most RR sets one kernel call draws on an *n*-node graph."""
     return max(1, BATCH_BYTES // ((n + 7) // 8))
+
+
+def batch_schedule(
+    count: int, start_index: int, cap: int
+) -> List[Tuple[int, int]]:
+    """Split a fill of *count* RR sets into ``(batch_index, size)`` pairs.
+
+    Consecutive batches of ``min(cap, remaining)`` sets, indices
+    continuing from *start_index* (RNG-contract item 1).  A run of
+    whole batches taken from it is split again into the same batches,
+    which is what lets a pool worker fill a chunk from its first index.
+    """
+    if count < 0:
+        raise ParameterError(f"count must be non-negative, got {count}")
+    if cap < 1:
+        raise ParameterError(f"cap must be >= 1, got {cap}")
+    full, rest = divmod(count, cap)
+    sizes = [cap] * full + ([rest] if rest else [])
+    return [(start_index + i, size) for i, size in enumerate(sizes)]
+
+
+def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """The generator stream batch *batch_index* draws from:
+    ``default_rng(SeedSequence(seed, spawn_key=(batch_index,)))``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(batch_index,))
+    )
+
+
+def resolve_seed(seed: SeedLike = None) -> int:
+    """The root integer seed of an RR stream: an int itself, a plain
+    ``SeedSequence``'s entropy (a spawned child's generated state, so
+    siblings differ), one draw of a ``Generator``, or for ``None`` one
+    replayable OS entropy value (:func:`repro.utils.rng.fresh_entropy`).
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        if seed.spawn_key or not isinstance(seed.entropy, int):
+            return int(seed.generate_state(1, np.uint64)[0])
+        return int(seed.entropy)
+    if isinstance(seed, np.random.Generator):
+        return int(seed.integers(0, 2**63 - 1))
+    if seed is None:
+        return fresh_entropy("RRSampler")
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    raise TypeError(
+        f"seed must be int, Generator, SeedSequence or None; got {type(seed)!r}"
+    )
 
 
 def resolve_kernel(kernel: str = AUTO_KERNEL) -> str:
@@ -704,8 +756,14 @@ def sample_rr_sets_kernel(
     triggering_sets: Optional[TriggeringSetSampler] = None,
     ic_tables: Optional[ICSkipTables] = None,
 ) -> KernelOutput:
-    """Model dispatch over the kernel samplers (one RR set per root)."""
+    """Model dispatch over the kernel samplers (one RR set per root).
+
+    A root outside ``[0, n)`` raises :class:`ParameterError`.
+    """
     model = model.upper()
+    roots = np.asarray(roots, dtype=np.int64)
+    if roots.size and not (0 <= roots.min() and roots.max() < graph.n):
+        raise ParameterError(f"roots out of range [0, {graph.n})")
     if model == "IC":
         return sample_rr_sets_ic_kernel(graph, roots, rng, kernel, ic_tables)
     if model == "LT":
@@ -729,7 +787,7 @@ def sample_rr_sets_kernel(
 # The sampler
 # ----------------------------------------------------------------------
 class RRSampler:
-    """Streaming generator of random RR sets (see the module docs).
+    """The batch-seeded stream of random RR sets (see the module docs).
 
     Parameters
     ----------
@@ -741,8 +799,8 @@ class RRSampler:
         :func:`~repro.sampling.rrset_triggering.fixed_size_triggering_sets`
         — the paper's Section 6 generalization).
     seed:
-        RNG seed or generator; all randomness of this sampler flows
-        through it.
+        Root seed of the stream, normalized by :func:`resolve_seed`;
+        batch ``b`` draws from :func:`batch_rng` ``(seed, b)``.
     kernel:
         ``"vectorized"`` (production) or ``"python"`` (the equivalence
         oracle); both draw the identical stream.
@@ -754,10 +812,9 @@ class RRSampler:
         ``sampling/tables`` span and the ``sampling.table_seconds``
         histogram; by default the no-op registry is used.
 
-    The stream is a pure function of ``(seed, sequence of fill /
-    sample_one calls)``.  ``sample_one`` leaves the rest of its batch
-    buffered (see :attr:`buffered`), and the next ``fill`` hands it
-    out first.
+    The stream is a pure function of ``(seed, sequence of fill
+    quotas)``; its position is :attr:`next_batch`, the index of the
+    next batch a fill draws.
     """
 
     def __init__(
@@ -785,7 +842,8 @@ class RRSampler:
         self.graph = graph
         self.model = model
         self.kernel = resolve_kernel(kernel)
-        self.rng = as_generator(seed)
+        self.seed = resolve_seed(seed)
+        self.next_batch = 0
         self.batch_cap = batch_cap(graph.n)
         self.triggering_sets = triggering_sets
         self.edges_examined = 0
@@ -810,32 +868,26 @@ class RRSampler:
                 self.obs.histogram("sampling.table_seconds").observe(
                     time.perf_counter() - started
                 )
-        # The batch sample_one hands out, and the next set it hands out.
-        self._batch: Tuple[np.ndarray, np.ndarray] = _empty_output()[:2]
-        self._cursor = 0
 
-    @property
-    def buffered(self) -> int:
-        """RR sets generated but not yet handed out."""
-        return self._batch[1].shape[0] - 1 - self._cursor
-
-    def _draw_roots(self, size: int) -> np.ndarray:
+    def _draw_roots(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Roots of one batch, in one draw (RNG-contract item 1).
 
         Uniform over the nodes; samplers with non-uniform roots
         override this.
         """
-        return self.rng.integers(0, self.graph.n, size=size)
+        return rng.integers(0, self.graph.n, size=size)
 
-    def _generate(self, roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One kernel call: ``(nodes, offsets)`` of an RR set per root,
-        counters updated."""
+    def _generate(self, index: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Batch *index* of *size* sets, ``(nodes, offsets)``, in one
+        kernel call; counters updated."""
+        rng = batch_rng(self.seed, index)
+        roots = self._draw_roots(rng, size)
         with self.obs.trace("kernel/refill"):
             nodes, offsets, edges, levels = sample_rr_sets_kernel(
                 self.graph,
                 self.model,
                 roots,
-                self.rng,
+                rng,
                 kernel=self.kernel,
                 lt_tables=self._lt_tables,
                 ic_tables=self._ic_tables,
@@ -853,53 +905,19 @@ class RRSampler:
         obs.count("kernel.levels", levels)
         return nodes, offsets
 
-    def sample_one(self, root: Optional[int] = None) -> np.ndarray:
-        """Sample one RR set; the root is random when omitted."""
-        if root is not None:
-            if not 0 <= root < self.graph.n:
-                raise ParameterError(
-                    f"root {root} out of range [0, {self.graph.n})"
-                )
-            nodes = self._generate(np.array([root], dtype=np.int64))[0]
-        else:
-            if not self.buffered:
-                size = min(self.batch_cap, SAMPLE_ONE_BATCH)
-                self._batch = self._generate(self._draw_roots(size))
-                self._cursor = 0
-            batch_nodes, offsets = self._batch
-            at = self._cursor
-            nodes = batch_nodes[offsets[at] : offsets[at + 1]]
-            self._cursor += 1
-        self.sets_generated += 1
-        return nodes
-
     def fill(self, collection: RRCollection, count: int) -> None:
-        """Append *count* fresh RR sets to *collection*, in stream order.
-
-        Buffered sets go first; the rest is drawn in batches of at most
-        :attr:`batch_cap` sets (RNG-contract item 1).
-        """
-        if count < 0:
-            raise ParameterError(f"count must be non-negative, got {count}")
+        """Append *count* fresh RR sets to *collection*, in stream order:
+        the next batches of :func:`batch_schedule`, from
+        :attr:`next_batch` on."""
         if collection.n != self.graph.n:
             raise ParameterError(
                 "collection node universe does not match the sampler's graph"
             )
         started = time.perf_counter()
-        buffered = min(count, self.buffered)
-        if buffered:
-            batch_nodes, offsets = self._batch
-            at = self._cursor
-            window = offsets[at : at + buffered + 1]
-            collection.append_flat(
-                batch_nodes[window[0] : window[-1]], window - window[0]
-            )
-            self._cursor += buffered
-        remaining = count - buffered
-        while remaining > 0:
-            size = min(remaining, self.batch_cap)
-            collection.append_flat(*self._generate(self._draw_roots(size)))
-            remaining -= size
+        batches = batch_schedule(count, self.next_batch, self.batch_cap)
+        for index, size in batches:
+            collection.append_flat(*self._generate(index, size))
+        self.next_batch += len(batches)
         self.sets_generated += count
         self.fill_seconds += time.perf_counter() - started
 

@@ -1,23 +1,17 @@
 """Persistent shared-memory parallel RR-set sampling service.
 
-:class:`SamplingPool` is the one RR stream of the serve engine at
-every worker count.  It draws the stream in the kernel's batches, and
-the batch is also the unit of its randomness:
-
-* a ``fill`` of *count* sets splits into batches exactly as
-  :meth:`~repro.sampling.kernel.RRSampler.fill` splits it (consecutive
-  batches of ``min(batch_cap(n), remaining)`` sets, RNG-contract item
-  1 in :mod:`repro.sampling.kernel`), indexed globally across fills;
-* batch ``b`` draws from
-  ``np.random.default_rng(SeedSequence(seed, spawn_key=(b,)))``, so
-  every batch is an independent, reproducible draw addressable by its
-  index alone.
+:class:`SamplingPool` runs the one RR stream of the program, that of
+:class:`~repro.sampling.kernel.RRSampler`, at any worker count: a fill
+splits into the kernel's capped batches, indexed across fills, and
+batch ``b`` draws from ``SeedSequence(seed, spawn_key=(b,))``
+(RNG-contract item 1 in :mod:`repro.sampling.kernel`).
 
 Each process holds **one** :class:`~repro.sampling.kernel.RRSampler`
-per pool, reseeded per batch, so the IC skip tables and LT alias
-tables are built once.  With ``workers=1`` that sampler runs in the
-caller's process and appends straight into the caller's collection;
-no shared memory and no worker process exist.  With ``workers > 1``:
+per pool, so the IC skip tables and LT alias tables are built once.
+With ``workers=1`` the pool is a thin wrapper over that sampler in the
+caller's process, which appends straight into the caller's
+collection; no shared memory and no worker process exist.  With
+``workers > 1``:
 
 * the graph's six CSR arrays are copied **once** into
   ``multiprocessing.shared_memory`` segments; workers map them
@@ -26,22 +20,25 @@ no shared memory and no worker process exist.  With ``workers > 1``:
 * a long-lived set of worker processes stays alive across all OPIM-C
   doubling iterations and OnlineOPIM pause/resume steps;
 * a fill is dispatched as *chunks*, runs of whole batches, which idle
-  workers pull as they finish; the results are appended in batch
-  order;
-* a crashed worker is respawned and only its outstanding chunk is
-  re-issued; its batches keep their indices, hence their seeds.
+  workers pull as they finish; a worker's sampler fills its chunk from
+  the chunk's first batch index, which splits it into exactly those
+  batches, and the results are appended in batch order;
+* each worker writes its results to its own pipe, synchronously (no
+  feeder thread, no lock shared between workers); the parent waits on
+  every result pipe and every worker's ``Process.sentinel`` at once;
+* a worker that dies, or whose pipe ends or tears, is respawned and
+  only its outstanding chunk is re-issued; its batches keep their
+  indices, hence their seeds.
 
 Determinism contract
 --------------------
 The stream depends only on the pool seed and the *sequence of
-``fill`` quotas*: batch sizes follow from the quotas and ``n``, batch
-seeds from the seed and the batch index.  How batches are grouped into
-chunks, the worker count and scheduling are not part of it, so for a
-fixed seed the stream is bitwise identical for ``workers`` 1, 2, 4,
-..., identical under worker crashes, and identical to filling batch
-``b`` with a fresh ``RRSampler`` seeded by ``SeedSequence(seed,
-spawn_key=(b,))``.  A stream saved by :meth:`SamplingPool.state`
-continues at any worker count.
+``fill`` quotas*.  How batches are grouped into chunks, the worker
+count and scheduling are not part of it, so for a fixed seed the
+stream is bitwise identical to an ``RRSampler``'s with the same seed
+and quotas, for ``workers`` 1, 2, 4, ..., and under worker crashes.
+A stream saved by :meth:`SamplingPool.state` continues at any worker
+count.
 
 The pool implements the sampler duck type used by the core algorithms
 (``fill`` / ``new_collection`` / ``sets_generated`` /
@@ -53,13 +50,14 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue
+import pickle
 import signal
+import struct
 import time
 import traceback
 from collections import deque
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,14 +65,14 @@ from repro.exceptions import ParameterError, ServiceError
 from repro.graph.digraph import DiGraph
 from repro.obs import resolve_registry
 from repro.sampling.collection import RRCollection
-from repro.sampling.kernel import RRSampler, batch_cap
-from repro.utils.rng import SeedLike, fresh_entropy
-
-__all__ = [
-    "SamplingPool",
-    "batch_rng",
-    "batch_schedule",
-]
+from repro.sampling.kernel import (
+    RRSampler,
+    batch_cap,
+    batch_schedule,
+    resolve_seed,
+)
+from repro.utils.rng import SeedLike
+__all__ = ["SamplingPool"]
 
 #: CSR arrays shared with workers (the complete DiGraph payload).
 _GRAPH_ARRAYS = (
@@ -93,50 +91,33 @@ CHUNKS_PER_WORKER = 4
 #: A run of stream batches: ``(batch_index, size)`` pairs.
 Batches = Sequence[Tuple[int, int]]
 
+#: Seconds a dead or closing worker gets to exit before it is killed.
+JOIN_TIMEOUT = 2.0
+
+
+class _Worker(NamedTuple):
+    """A worker process and the parent's ends of its two pipes
+    (``multiprocessing.connection.Connection``s)."""
+
+    process: Any
+    tasks: Any
+    results: Any
+
+
+def _stop(worker: _Worker) -> None:
+    """Reap *worker* (killed if it outlives :data:`JOIN_TIMEOUT`) and
+    close the parent's pipe ends."""
+    worker.process.join(timeout=JOIN_TIMEOUT)
+    if worker.process.is_alive():
+        worker.process.kill()
+        worker.process.join()
+    worker.tasks.close()
+    worker.results.close()
+
 
 # ----------------------------------------------------------------------
-# The stream (pure functions — the determinism contract lives here)
+# Dispatch chunks
 # ----------------------------------------------------------------------
-def batch_schedule(
-    count: int, start_index: int, cap: int
-) -> List[Tuple[int, int]]:
-    """Split a fill of *count* RR sets into ``(batch_index, size)`` pairs.
-
-    Consecutive batches of ``min(cap, remaining)`` sets, the split of
-    :meth:`~repro.sampling.kernel.RRSampler.fill`; indices continue
-    from *start_index*.  It depends on nothing else, in particular not
-    on the worker count.
-    """
-    if count < 0:
-        raise ParameterError(f"count must be non-negative, got {count}")
-    if cap < 1:
-        raise ParameterError(f"cap must be >= 1, got {cap}")
-    full, rest = divmod(count, cap)
-    sizes = [cap] * full + ([rest] if rest else [])
-    return [(start_index + i, size) for i, size in enumerate(sizes)]
-
-
-def batch_rng(root_seed: int, batch_index: int) -> np.random.Generator:
-    """The generator stream batch *batch_index* draws from:
-    ``default_rng(SeedSequence(root_seed, spawn_key=(batch_index,)))``."""
-    return np.random.default_rng(
-        np.random.SeedSequence(root_seed, spawn_key=(batch_index,))
-    )
-
-
-def _sample_batches(
-    sampler: RRSampler,
-    root_seed: int,
-    batches: Batches,
-    collection: RRCollection,
-) -> None:
-    """Append *batches* to *collection*, each drawn by *sampler*
-    reseeded to that batch's own stream (one kernel call per batch)."""
-    for index, size in batches:
-        sampler.rng = batch_rng(root_seed, index)
-        sampler.fill(collection, size)
-
-
 def _chunks(batches: Batches, workers: int) -> List[Batches]:
     """Group a fill's batches into dispatch chunks of whole batches."""
     per_chunk = -(-len(batches) // (CHUNKS_PER_WORKER * workers))
@@ -240,17 +221,19 @@ def _service_worker(
     worker_id: int,
     spec: Dict[str, Any],
     model: str,
-    root_seed: int,
-    task_queue: Any,
-    result_queue: Any,
+    seed: int,
+    tasks: Any,
+    results: Any,
 ) -> None:
     """Long-lived worker loop: attach the shm graph, then serve chunks.
 
-    Tasks are ``(batches, crash, trace_id)`` tuples; ``None`` is the
-    shutdown sentinel.  A task with ``crash=True`` hard-exits the
-    process (fault injection for the crash-recovery tests).
-    Generation errors are reported back, not raised, so a bad chunk
-    does not silently hang the parent.
+    Tasks are ``(batches, crash, trace_id)`` tuples read from *tasks*;
+    ``None`` (or the parent's end closing) shuts the worker down.  Each
+    result is written to *results*, this worker's own pipe, with a
+    blocking write.  A task with ``crash=True`` hard-exits the process
+    partway through writing its result (fault injection for the
+    crash-recovery tests).  Generation errors are reported back, not
+    raised, so a bad chunk does not silently hang the parent.
 
     Workers have no registry of their own: when a task carries a
     ``trace_id`` (a request trace is active in the parent), the worker
@@ -265,26 +248,26 @@ def _service_worker(
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     graph, segments = _attach_graph(spec)
     try:
-        sampler = RRSampler(graph, model, seed=root_seed)
+        sampler = RRSampler(graph, model, seed=seed)
         while True:
-            task = task_queue.get()
+            try:
+                task = tasks.recv()
+            except EOFError:
+                break
             if task is None:
                 break
             batches, crash, trace_id = task
-            if crash:
-                os._exit(17)
             index = batches[0][0]
             count = sum(size for _, size in batches)
             started = time.perf_counter()
             edges, nodes = sampler.edges_examined, sampler.nodes_touched
             try:
                 collection = RRCollection(graph.n)
-                _sample_batches(sampler, root_seed, batches, collection)
+                sampler.next_batch = index
+                sampler.fill(collection, count)
                 flat, offsets = collection.flat()
-            except BaseException:
-                result_queue.put(
-                    ("err", worker_id, index, traceback.format_exc())
-                )
+            except Exception:
+                results.send(("err", worker_id, index, traceback.format_exc()))
                 continue
             elapsed = time.perf_counter() - started
             spans = []
@@ -292,22 +275,33 @@ def _service_worker(
                 spans.append(
                     _chunk_span(elapsed, batches, count, trace_id=trace_id)
                 )
-            result_queue.put(
-                (
-                    "ok",
-                    worker_id,
-                    index,
-                    flat,
-                    offsets,
-                    sampler.edges_examined - edges,
-                    sampler.nodes_touched - nodes,
-                    elapsed,
-                    spans,
-                )
+            message = (
+                "ok",
+                worker_id,
+                index,
+                flat,
+                offsets,
+                sampler.edges_examined - edges,
+                sampler.nodes_touched - nodes,
+                elapsed,
+                spans,
             )
+            if crash:
+                _exit_mid_send(results, message)
+            results.send(message)
     finally:
         for segment in segments:
             segment.close()
+
+
+def _exit_mid_send(connection: Any, message: Any) -> None:
+    """Write the first half of *message*'s frame (``Connection.send``'s
+    length header, then the pickle) and hard-exit, leaving a torn
+    result on the pipe."""
+    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    frame = struct.pack("!i", len(body)) + body
+    os.write(connection.fileno(), frame[: len(frame) // 2])
+    os._exit(17)
 
 
 def _chunk_span(
@@ -342,10 +336,10 @@ class SamplingPool:
         Worker processes; ``1`` samples in the caller's process, with
         no shared memory.  The stream is the same at every count.
     seed:
-        Root seed; stream batch ``b`` draws from
-        ``SeedSequence(seed, spawn_key=(b,))``.  ``None`` draws one
-        replayable entropy value (recorded in
-        :func:`repro.utils.rng.auto_entropy_log`).
+        Root seed, normalized by
+        :func:`~repro.sampling.kernel.resolve_seed` exactly as an
+        ``RRSampler``'s; stream batch ``b`` draws from
+        ``SeedSequence(seed, spawn_key=(b,))``.
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; the pool
         maintains ``service.chunks`` / ``service.worker_restarts``
@@ -356,9 +350,10 @@ class SamplingPool:
         counters and the LT table build itself.
     inject_crash_chunks:
         Fault-injection hook for tests: global batch indices whose
-        chunk's first dispatch hard-kills the executing worker.  The
-        pool respawns the worker and re-issues the chunk (crash-once
-        semantics), exercising the recovery path deterministically.
+        chunk's first dispatch hard-kills the executing worker partway
+        through writing the chunk's result.  The pool respawns the
+        worker and re-issues the chunk (crash-once semantics),
+        exercising the recovery path deterministically.
         Only workers crash, so it has no effect with ``workers=1``.
     max_restarts:
         Abort with :class:`ServiceError` after this many worker
@@ -406,18 +401,7 @@ class SamplingPool:
         self.max_restarts = int(max_restarts)
         self.obs = resolve_registry(registry)
         self._crash_batches = set(inject_crash_chunks or ())
-
-        if isinstance(seed, np.random.SeedSequence):
-            entropy = seed.entropy
-            if isinstance(entropy, (tuple, list)):  # pragma: no cover
-                entropy = entropy[0]
-            self.seed = int(entropy)
-        elif isinstance(seed, np.random.Generator):
-            self.seed = int(seed.integers(0, 2**63 - 1))
-        elif seed is None:
-            self.seed = fresh_entropy("SamplingPool")
-        else:
-            self.seed = int(seed)
+        self.seed = resolve_seed(seed)
 
         # Sampler duck-type accounting.
         self.universe_weight = float(graph.n)
@@ -437,9 +421,7 @@ class SamplingPool:
         # workers == 1: the in-process sampler; otherwise the workers.
         self._sampler: Optional[RRSampler] = None
         self._segments: List[shared_memory.SharedMemory] = []
-        self._procs: List[Optional[mp.process.BaseProcess]] = []
-        self._task_queues: List[Any] = []
-        self._result_queue: Optional[Any] = None
+        self._workers: List[_Worker] = []
         self._context: Optional[Any] = None
 
         if self.workers == 1:
@@ -452,11 +434,8 @@ class SamplingPool:
         try:
             methods = mp.get_all_start_methods()
             self._context = mp.get_context("fork" if "fork" in methods else None)
-            self._result_queue = self._context.Queue()
             for worker_id in range(self.workers):
-                self._procs.append(None)
-                self._task_queues.append(None)
-                self._spawn_worker(worker_id)
+                self._workers.append(self._start_worker(worker_id))
         except BaseException:
             self.close()
             raise
@@ -472,9 +451,11 @@ class SamplingPool:
         empty with ``workers=1``."""
         return [segment.name for segment in self._segments]
 
-    def _spawn_worker(self, worker_id: int) -> None:
+    def _start_worker(self, worker_id: int) -> _Worker:
+        """Fork worker *worker_id* with its own task and result pipes."""
         assert self._context is not None
-        task_queue = self._context.SimpleQueue()
+        task_reader, task_writer = self._context.Pipe(duplex=False)
+        result_reader, result_writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_service_worker,
             args=(
@@ -482,15 +463,20 @@ class SamplingPool:
                 self._spec,
                 self.model,
                 self.seed,
-                task_queue,
-                self._result_queue,
+                task_reader,
+                result_writer,
             ),
             daemon=True,
             name=f"sampling-pool-{worker_id}",
         )
-        process.start()
-        self._task_queues[worker_id] = task_queue
-        self._procs[worker_id] = process
+        try:
+            process.start()
+        finally:
+            # The child holds its own copies; a parent copy of the
+            # result writer would keep a dead worker's pipe from ending.
+            task_reader.close()
+            result_writer.close()
+        return _Worker(process, task_writer, result_reader)
 
     def close(self) -> None:
         """Shut workers down and unlink every shared-memory segment.
@@ -501,23 +487,13 @@ class SamplingPool:
         if self._closed:
             return
         self._closed = True
-        for task_queue, process in zip(self._task_queues, self._procs):
-            if process is not None and process.is_alive():
-                try:
-                    task_queue.put(None)
-                except Exception:  # pragma: no cover - broken pipe path
-                    pass
-        for process in self._procs:
-            if process is None:
-                continue
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=2.0)
-        if self._result_queue is not None:
-            self._result_queue.close()
-            self._result_queue.cancel_join_thread()
-            self._result_queue = None
+        for worker in self._workers:
+            try:
+                worker.tasks.send(None)
+            except OSError:  # pragma: no cover - the worker is gone
+                pass
+        for worker in self._workers:
+            _stop(worker)
         self._sampler = None
         for segment in self._segments:
             segment.close()
@@ -526,8 +502,7 @@ class SamplingPool:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
         self._segments = []
-        self._procs = []
-        self._task_queues = []
+        self._workers = []
 
     def __enter__(self) -> "SamplingPool":
         return self
@@ -663,12 +638,13 @@ class SamplingPool:
         sampler = self._sampler
         assert sampler is not None
         edges, nodes = sampler.edges_examined, sampler.nodes_touched
+        count = sum(size for _, size in batches)
         started = time.perf_counter()
-        _sample_batches(sampler, self.seed, batches, collection)
+        sampler.next_batch = batches[0][0]
+        sampler.fill(collection, count)
         elapsed = time.perf_counter() - started
         self._observe_chunk(elapsed)
         if self.obs.current_trace() is not None:
-            count = sum(size for _, size in batches)
             self.obs.record("span", **_chunk_span(elapsed, batches, count))
         return (
             1,
@@ -682,53 +658,65 @@ class SamplingPool:
         """Adaptive dispatch: idle workers pull chunks; crashes recover.
         Results are appended in batch order; returns ``(chunks, edges,
         nodes)``."""
-        assert self._result_queue is not None
+        # Imported here, so that an in-process pool never loads it.
+        from multiprocessing.connection import wait
+
         chunks = _chunks(batches, self.workers)
         pending = deque(chunks)
         outstanding: Dict[int, Batches] = {}
-        idle = deque(
-            worker_id
-            for worker_id, process in enumerate(self._procs)
-            if process is not None
-        )
+        idle = deque(range(self.workers))
         results: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         edges = nodes = 0
         while len(results) < len(chunks):
             while pending and idle:
                 worker_id = idle.popleft()
                 self._dispatch(worker_id, pending.popleft(), outstanding)
-            try:
-                message = self._result_queue.get(timeout=0.05)
-            except queue.Empty:
-                self._recover_workers(outstanding, idle)
-                continue
-            if message[0] == "err":
-                _, worker_id, index, text = message
-                raise ServiceError(
-                    f"worker {worker_id} failed on the chunk at batch "
-                    f"{index}:\n{text}"
-                )
-            (
-                _,
-                worker_id,
-                index,
-                flat,
-                offsets,
-                chunk_edges,
-                chunk_nodes,
-                elapsed,
-                spans,
-            ) = message
-            results[index] = (flat, offsets)
-            edges += chunk_edges
-            nodes += chunk_nodes
-            outstanding.pop(worker_id, None)
-            idle.append(worker_id)
-            self._observe_chunk(elapsed)
-            for event in spans:
-                # Worker-buffered span events, replayed into our sink so
-                # the request's trace tree includes cross-process work.
-                self.obs.record("span", **event)
+            owners: Dict[Any, int] = {}
+            for worker_id, worker in enumerate(self._workers):
+                owners[worker.results] = worker_id
+                owners[worker.process.sentinel] = worker_id
+            for ready in wait(list(owners)):
+                worker_id = owners[ready]
+                worker = self._workers[worker_id]
+                if ready is not worker.results:
+                    # A sentinel, or the pipe of a worker respawned in
+                    # this round: only a dead current worker matters.
+                    if not worker.process.is_alive():
+                        self._respawn(worker_id, outstanding, idle)
+                    continue
+                try:
+                    message = worker.results.recv()
+                except (EOFError, OSError):  # ended or torn: it died
+                    self._respawn(worker_id, outstanding, idle)
+                    continue
+                if message[0] == "err":
+                    _, worker_id, index, text = message
+                    raise ServiceError(
+                        f"worker {worker_id} failed on the chunk at batch "
+                        f"{index}:\n{text}"
+                    )
+                (
+                    _,
+                    worker_id,
+                    index,
+                    flat,
+                    offsets,
+                    chunk_edges,
+                    chunk_nodes,
+                    elapsed,
+                    spans,
+                ) = message
+                results[index] = (flat, offsets)
+                edges += chunk_edges
+                nodes += chunk_nodes
+                outstanding.pop(worker_id, None)
+                idle.append(worker_id)
+                self._observe_chunk(elapsed)
+                for event in spans:
+                    # Worker-buffered span events, replayed into our
+                    # sink so the request's trace tree includes
+                    # cross-process work.
+                    self.obs.record("span", **event)
         for chunk in chunks:
             collection.append_flat(*results[chunk[0][0]])
         count = sum(size for _, size in batches)
@@ -753,39 +741,41 @@ class SamplingPool:
         # Crash-once semantics: the recovery re-issue runs clean.
         self._crash_batches -= indices
         outstanding[worker_id] = chunk
-        self._task_queues[worker_id].put(
-            (chunk, crash, self.obs.current_trace())
-        )
+        try:
+            self._workers[worker_id].tasks.send(
+                (chunk, crash, self.obs.current_trace())
+            )
+        except OSError:  # it died idle; its sentinel triggers the respawn
+            pass
 
-    def _recover_workers(
+    def _respawn(
         self,
+        worker_id: int,
         outstanding: Dict[int, Batches],
         idle: "deque[int]",
     ) -> None:
-        """Respawn dead workers; re-issue their outstanding chunks.
+        """Replace a dead worker and re-issue its outstanding chunk.
 
         A re-issued chunk keeps its batches, whose seeds are a pure
         function of their indices, so recovery cannot change the
         output stream.
         """
-        for worker_id, process in enumerate(self._procs):
-            if process is None or process.is_alive():
-                continue
-            process.join()
-            self.restarts += 1
-            self.obs.count("service.worker_restarts")
-            if self.restarts > self.max_restarts:
-                raise ServiceError(
-                    f"worker {worker_id} died (exit code "
-                    f"{process.exitcode}); restart budget of "
-                    f"{self.max_restarts} exhausted"
-                )
-            self._spawn_worker(worker_id)
-            chunk = outstanding.pop(worker_id, None)
-            if chunk is not None:
-                self._dispatch(worker_id, chunk, outstanding)
-            elif worker_id not in idle:  # pragma: no cover - idle death
-                idle.append(worker_id)
+        worker = self._workers[worker_id]
+        _stop(worker)
+        self.restarts += 1
+        self.obs.count("service.worker_restarts")
+        if self.restarts > self.max_restarts:
+            raise ServiceError(
+                f"worker {worker_id} died (exit code "
+                f"{worker.process.exitcode}); restart budget of "
+                f"{self.max_restarts} exhausted"
+            )
+        self._workers[worker_id] = self._start_worker(worker_id)
+        chunk = outstanding.pop(worker_id, None)
+        if chunk is not None:
+            self._dispatch(worker_id, chunk, outstanding)
+        elif worker_id not in idle:  # pragma: no cover - idle death
+            idle.append(worker_id)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

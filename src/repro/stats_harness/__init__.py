@@ -5,9 +5,10 @@ guarantee (Theorem 6.2 and the online Section 4 analogue).  This
 package verifies it **empirically on the paths production traffic
 actually takes** — warm-index restarts, the adopted-sketch multi-``k``
 serving layer, repeated identical queries under the ``delta / 2^i``
-schedule, and pool-vs-serial sampler streams — by running hundreds of
-independent trials against brute-force ``OPT`` oracles and reporting
-Clopper–Pearson confidence bounds on the observed failure rates.
+schedule, a pool shared across trials and the cluster tier — by
+running hundreds of independent trials against brute-force ``OPT``
+oracles and reporting Clopper–Pearson confidence bounds on the
+observed failure rates.
 
 It is also the referee for the ``stopping="sadeh"`` sample-complexity
 early-stopping rule (:func:`repro.core.theta.theta_sadeh`): the rule

@@ -224,6 +224,17 @@ def run_scenario(
     )
 
 
+def _cut_by_cap(extra: Dict[str, Any]) -> bool:
+    """Whether a ``stopping="sadeh"`` run's cap changed it: the cap
+    stopped the doubling loop, or shortened one of its doublings.  A run
+    the cap did not cut draws the sets the paper rule draws (the same
+    stream and the same fill quotas), so both sample alike."""
+    sizes = [row["theta1"] for row in extra["alpha_trajectory"]]
+    return extra["stopped_by"] == "theta_cap" or any(
+        after < 2 * before for before, after in zip(sizes, sizes[1:])
+    )
+
+
 def compare_stopping(
     graph: DiGraph,
     *,
@@ -238,7 +249,8 @@ def compare_stopping(
     """Paired paper-vs-sadeh stopping comparison on one graph.
 
     Runs ``opim_c`` twice per trial seed — once per stopping rule —
-    and reports RR-set counts against Eq. 16's ``theta_max``.  The
+    and reports RR-set counts against Eq. 16's ``theta_max``.  Each row
+    also says whether the Sadeh cap cut that trial's run (``"cut"``).  The
     statistical guarantee of the "sadeh" runs is *not* asserted here
     (that needs an exact oracle, i.e. a tiny graph and
     :func:`run_scenario` with ``stopping="sadeh"``); this function
@@ -248,7 +260,7 @@ def compare_stopping(
     rows: List[Dict[str, Any]] = []
     for trial in range(trials):
         seed = trial_seed(entropy, trial)
-        per_rule: Dict[str, int] = {}
+        per_rule: Dict[str, Any] = {}
         for rule in ("paper", "sadeh"):
             result = opim_c(
                 graph,
@@ -261,6 +273,7 @@ def compare_stopping(
                 stopping=rule,
             )
             per_rule[rule] = int(result.num_rr_sets)
+        per_rule["cut"] = _cut_by_cap(result.extra)
         rows.append({"trial": trial, "seed": seed, **per_rule})
     paper_counts = [row["paper"] for row in rows]
     sadeh_counts = [row["sadeh"] for row in rows]

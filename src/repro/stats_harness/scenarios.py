@@ -15,10 +15,10 @@ guarantees that pattern emitted as claim groups:
   several per-``k`` sessions; each ``k``'s claims are a group.
 * ``repeated_queries`` — identical queries against one ``k``, so every
   claim leans on the ``delta / 2^i`` simultaneous-guarantee schedule.
-* ``serial_stream`` / ``pool_stream`` — the same session loop driven
-  by the serial sampler vs. the shared-memory ``SamplingPool`` (whose
-  chunk-seeded stream is a different RR-set ordering, the thing the
-  harness must show does not change the guarantee).
+* ``pool_stream`` — the session loop driven by one shared-memory
+  ``SamplingPool`` shared across trials, each trial reading the next
+  slice of its batch-seeded stream (the one RR stream of every
+  sampler at every worker count).
 * ``cluster_path`` — the full sharded tier: trials go through the
   :class:`~repro.serve.cluster.frontend.ClusterFrontend` HTTP API into
   a worker process, then evict + requery so the checked claims ride a
@@ -193,35 +193,6 @@ def run_repeated_queries(ctx: TrialContext) -> TrialResult:
     return TrialResult(groups=tuple(groups), rr_sets=sampled)
 
 
-def _run_stream_session(ctx: TrialContext, sampler: Optional[Any]) -> TrialResult:
-    kind = "pool" if sampler is not None else "serial"
-    session = OPIMSession(
-        ctx.graph,
-        ctx.model,
-        k=ctx.k,
-        delta=ctx.delta,
-        seed=None if sampler is not None else ctx.seed,
-        sampler=sampler,
-    )
-    try:
-        session.run_until(
-            alpha_target=ctx.alpha_target,
-            rr_budget=ctx.rr_budget,
-            step=ctx.step,
-        )
-        group = _session_group(session, f"{kind} k={ctx.k}", kind)
-        rr_sets = session.num_rr_sets
-    finally:
-        # No-op for an injected pool (the runner owns its lifetime)
-        # and for the serial sampler; kept for symmetry with OPIMC.
-        session.close()
-    return TrialResult(groups=(group,), rr_sets=rr_sets)
-
-
-def run_serial_stream(ctx: TrialContext) -> TrialResult:
-    return _run_stream_session(ctx, None)
-
-
 async def _cluster_trial(ctx: TrialContext) -> TrialResult:
     from repro.serve.cluster import ClusterFrontend
     from repro.serve.http import ServeClient
@@ -319,7 +290,14 @@ def run_pool_stream(ctx: TrialContext) -> TrialResult:
     # Trials share one pool: each trial adopts fresh collections and
     # consumes the next slice of the pool's deterministic stream, so
     # trials stay independent without paying a pool spin-up each time.
-    return _run_stream_session(ctx, ctx.pool)
+    session = OPIMSession(
+        ctx.graph, ctx.model, k=ctx.k, delta=ctx.delta, sampler=ctx.pool
+    )
+    session.run_until(
+        alpha_target=ctx.alpha_target, rr_budget=ctx.rr_budget, step=ctx.step
+    )
+    group = _session_group(session, f"pool k={ctx.k}", "pool")
+    return TrialResult(groups=(group,), rr_sets=session.num_rr_sets)
 
 
 SCENARIOS: Dict[str, Scenario] = {
@@ -345,11 +323,6 @@ SCENARIOS: Dict[str, Scenario] = {
             "repeated_queries",
             "identical queries under the delta/2^i schedule",
             run_repeated_queries,
-        ),
-        Scenario(
-            "serial_stream",
-            "session loop on the serial RR sampler",
-            run_serial_stream,
         ),
         Scenario(
             "pool_stream",

@@ -70,8 +70,8 @@ def fresh_entropy(origin: str = "fresh_entropy") -> int:
     """Draw one OS entropy value, record it, and return it as an int.
 
     The replayable counterpart of "no seed given" for components that
-    need a *root integer seed* rather than a ``Generator`` (e.g. the
-    sampling service derives per-chunk child seeds from it).  The value
+    need a *root integer seed* rather than a ``Generator`` (e.g. an RR
+    stream derives its per-batch seeds from it).  The value
     lands in :func:`auto_entropy_log` like every other auto seed.
     """
     sequence = np.random.SeedSequence()

@@ -41,7 +41,8 @@ class WeightedRRSampler(RRSampler):
     >>> g = assign_wc_weights(star_graph(4))
     >>> weights = [0.0, 1.0, 1.0, 1.0]   # the hub itself is worthless
     >>> sampler = WeightedRRSampler(g, "IC", weights, seed=1)
-    >>> sampler.sample_one() is not None
+    >>> rr = sampler.new_collection(200)
+    >>> all(rr.get(i)[0] != 0 for i in range(len(rr)))  # roots follow w
     True
     """
 
@@ -67,9 +68,9 @@ class WeightedRRSampler(RRSampler):
         self.universe_weight = total
         self._root_table = AliasTable(weights)
 
-    def _draw_roots(self, size: int) -> np.ndarray:
+    def _draw_roots(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Roots of one batch: one vectorized draw from ``w / W``."""
-        return self._root_table.sample(size=size, seed=self.rng)
+        return self._root_table.sample(size=size, seed=rng)
 
     def estimate_weighted_spread(
         self, collection: RRCollection, seeds

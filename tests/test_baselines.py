@@ -11,9 +11,10 @@ from repro.baselines.celf import celf_greedy
 from repro.baselines.dssa import dssa_fix
 from repro.baselines.imm import imm
 from repro.baselines.ssa import ssa_fix
-from repro.baselines.tim import tim_plus
+from repro.baselines.tim import _rr_widths, tim_plus
 from repro.diffusion.spread import exact_spread_ic
 from repro.exceptions import BudgetExceededError, ParameterError
+from repro.sampling.kernel import RRSampler
 from tests.conftest import brute_force_best_spread_ic
 
 RIS_ALGORITHMS = [imm, tim_plus, ssa_fix, dssa_fix]
@@ -100,6 +101,14 @@ class TestTIMSpecifics:
         result = tim_plus(small_graph, "IC", 3, 0.4, delta=0.1, seed=3, refine=False)
         assert len(result.seeds) == 3
 
+    def test_widths_match_a_per_set_loop(self, small_graph):
+        """A KPT round's widths, read in one ``reduceat``, are each RR
+        set's in-degree sum."""
+        collection = RRSampler(small_graph, "LT", seed=6).new_collection(300)
+        in_degree = small_graph.in_degree()
+        expected = [int(in_degree[nodes].sum()) for nodes in collection.sets()]
+        assert _rr_widths(small_graph, collection).tolist() == expected
+
     def test_refinement_reduces_theta_typically(self, small_graph):
         refined = tim_plus(small_graph, "IC", 3, 0.4, delta=0.1, seed=4, refine=True)
         plain = tim_plus(small_graph, "IC", 3, 0.4, delta=0.1, seed=4, refine=False)
@@ -110,6 +119,22 @@ class TestSSASpecifics:
     def test_algorithm_name(self, small_graph):
         result = ssa_fix(small_graph, "IC", 3, 0.4, delta=0.1, seed=1)
         assert result.algorithm == "SSA-Fix"
+
+    def test_budget_never_exceeded(self, small_graph):
+        """The stare fills blocks, but never past ``rr_budget``: under
+        any budget below an unbounded run's count, the run either
+        aborts or finishes within it (the blocks split differently
+        under a budget, so the stream, and the count, can differ)."""
+        full = ssa_fix(small_graph, "IC", 3, 0.4, delta=0.1, seed=8)
+        for budget in (full.num_rr_sets - 1, full.num_rr_sets // 2):
+            try:
+                used = ssa_fix(
+                    small_graph, "IC", 3, 0.4, delta=0.1, seed=8,
+                    rr_budget=budget,
+                ).num_rr_sets
+            except BudgetExceededError as error:
+                used = error.num_rr_sets
+            assert used <= budget
 
     def test_validation_metadata(self, small_graph):
         result = ssa_fix(small_graph, "IC", 3, 0.4, delta=0.1, seed=2)

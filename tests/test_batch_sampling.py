@@ -13,9 +13,9 @@ from repro.graph.build import from_edge_list
 from repro.graph.generators import cycle_graph
 from repro.graph.weights import assign_constant_weights
 from repro.sampling.kernel import (
-    SAMPLE_ONE_BATCH,
     RRSampler,
     sample_rr_sets_ic_kernel,
+    sample_rr_sets_kernel,
     sample_rr_sets_lt_kernel,
 )
 from repro.sampling.rrset_lt import LTAliasTables
@@ -122,25 +122,22 @@ class TestBatchSamplerFacade:
         assert sampler.sets_generated == 300
         assert sampler.edges_examined > 0
 
-    def test_sample_one_uses_buffer(self, small_graph):
-        sampler = RRSampler(small_graph, "IC", seed=2)
-        first = sampler.sample_one()
-        assert first.size >= 1
-        assert sampler.buffered == SAMPLE_ONE_BATCH - 1
-
-    def test_explicit_root(self, small_graph):
-        sampler = RRSampler(small_graph, "LT", seed=3)
-        nodes = sampler.sample_one(root=7)
-        assert nodes[0] == 7
+    def test_explicit_root(self, small_graph, rng):
+        nodes, offsets, _, _ = sample_rr_sets_kernel(
+            small_graph, "LT", np.array([7]), rng
+        )
+        assert nodes[0] == 7 and offsets.tolist() == [0, nodes.size]
 
     def test_invalid_params(self, small_graph):
         with pytest.raises(ParameterError):
             RRSampler(small_graph, "XYZ")
         with pytest.raises(ParameterError):
             RRSampler(small_graph, "IC", kernel="fortran")
-        sampler = RRSampler(small_graph, "IC", seed=4)
         with pytest.raises(ParameterError):
-            sampler.sample_one(root=10**6)
+            sample_rr_sets_kernel(
+                small_graph, "IC", np.array([10**6]), np.random.default_rng(4)
+            )
+        sampler = RRSampler(small_graph, "IC", seed=4)
         with pytest.raises(ParameterError):
             sampler.fill(sampler.new_collection(), -1)
 
@@ -156,15 +153,15 @@ class TestBatchSamplerFacade:
         assert snap.alpha > 0.2
 
     def test_matches_scalar_sampler_statistics(self, small_graph):
-        """Sets drawn one at a time (``sample_one`` with explicit
-        uniform roots, one kernel call each) and in capped batches
-        estimate the same spread."""
-        rng = np.random.default_rng(8)
+        """Sets drawn one at a time (fills of one set, each its own
+        batch and stream) and in capped batches estimate the same
+        spread."""
         single = RRSampler(small_graph, "IC", seed=7)
         scalar = single.new_collection()
-        for root in rng.integers(0, small_graph.n, size=6000):
-            scalar.append(single.sample_one(root=int(root)))
-        batch = RRSampler(small_graph, "IC", seed=7).new_collection(6000)
+        for _ in range(6000):
+            single.fill(scalar, 1)
+        assert single.next_batch == 6000
+        batch = RRSampler(small_graph, "IC", seed=8).new_collection(6000)
         v = int(np.argmax(scalar.node_coverage_counts()))
         assert batch.estimate_spread([v]) == pytest.approx(
             scalar.estimate_spread([v]), rel=0.12

@@ -25,6 +25,7 @@ from repro.graph.weights import assign_constant_weights, assign_wc_weights
 from repro.maxcover.greedy import greedy_max_coverage
 from repro.sampling.collection import RRCollection
 from repro.sampling.generator import RRSampler
+from repro.sampling.kernel import sample_rr_sets_kernel
 
 
 class TestExceptionHierarchy:
@@ -165,8 +166,8 @@ class TestNumericalStability:
 
     def test_probabilities_at_exact_bounds(self):
         g = from_edge_list([(0, 1, 0.0), (1, 2, 1.0)])
-        sampler = RRSampler(g, "IC", seed=5)
+        rng = np.random.default_rng(5)
         for _ in range(20):
-            nodes = sampler.sample_one(root=2)
+            nodes, _, _, _ = sample_rr_sets_kernel(g, "IC", [2], rng)
             assert 1 in nodes  # p = 1 edge always crossed
             assert 0 not in nodes  # p = 0 edge never crossed

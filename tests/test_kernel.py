@@ -41,6 +41,7 @@ from repro.sampling.kernel import (
     RRSampler,
     batch_cap,
     resolve_kernel,
+    resolve_seed,
     sample_rr_sets_ic_kernel,
     sample_rr_sets_kernel,
     sample_rr_sets_lt_kernel,
@@ -51,6 +52,7 @@ from repro.sampling.rrset_triggering import (
     fixed_size_triggering_sets,
     ic_triggering_sets,
 )
+from repro.utils.rng import auto_entropy_log, last_auto_entropy
 from repro.weighted.sampler import WeightedRRSampler
 
 
@@ -214,18 +216,20 @@ class TestKernelRRSampler:
             oracle_graph, "TRIGGERING", seed=4, kernel="vectorized",
             triggering_sets=triggering,
         )
-        assert _identical(
-            [a.sample_one() for _ in range(50)],
-            [b.sample_one() for _ in range(50)],
-        )
+        ca, cb = a.new_collection(), b.new_collection()
+        for quota in (1, 49):
+            a.fill(ca, quota)
+            b.fill(cb, quota)
+        assert _identical(ca.sets(), cb.sets())
         assert a.edges_examined == b.edges_examined
 
     def test_explicit_root(self, oracle_graph):
-        sampler = RRSampler(oracle_graph, "IC", seed=1)
-        rr = sampler.sample_one(root=17)
+        rng = np.random.default_rng(1)
+        rr, _, _, _ = sample_rr_sets_kernel(oracle_graph, "IC", [17], rng)
         assert rr[0] == 17
-        with pytest.raises(ParameterError, match="out of range"):
-            sampler.sample_one(root=oracle_graph.n)
+        for root in (-1, oracle_graph.n):
+            with pytest.raises(ParameterError, match="out of range"):
+                sample_rr_sets_kernel(oracle_graph, "IC", [root], rng)
 
     def test_requires_weighted_graph(self):
         bare = power_law_graph(40, 3, seed=1)
@@ -236,6 +240,35 @@ class TestKernelRRSampler:
 def _row_bytes(n):
     """Bytes of one set's row of the bit-packed visited matrix."""
     return (n + 7) // 8
+
+
+class TestResolveSeed:
+    """Every seed form names one root seed, hence one stream."""
+
+    def test_seed_forms(self):
+        assert resolve_seed(7) == resolve_seed(np.int64(7)) == 7
+        assert resolve_seed(np.random.SeedSequence(7)) == 7
+        generators = np.random.default_rng(3), np.random.default_rng(3)
+        assert resolve_seed(generators[0]) == resolve_seed(generators[1])
+        with pytest.raises(TypeError):
+            resolve_seed("7")
+
+    def test_spawned_siblings_draw_different_streams(self, oracle_graph):
+        """A spawn key is part of the seed: children of one
+        ``SeedSequence`` share its entropy but not their streams."""
+        streams = [
+            RRSampler(oracle_graph, "IC", seed=child).new_collection(50)
+            for child in np.random.SeedSequence(7).spawn(2)
+        ]
+        assert not _identical(streams[0].sets(), streams[1].sets())
+
+    def test_auto_seed_is_logged_and_replayable(self, oracle_graph):
+        sampler = RRSampler(oracle_graph, "LT")
+        assert auto_entropy_log()[-1].origin == "RRSampler"
+        replay = RRSampler(oracle_graph, "LT", seed=last_auto_entropy())
+        assert _identical(
+            sampler.new_collection(40).sets(), replay.new_collection(40).sets()
+        )
 
 
 class TestBatchCap:
@@ -290,7 +323,7 @@ class TestBatchCap:
         assert _identical(*collections)
         assert a.edges_examined == b.edges_examined
         assert a.levels_advanced == b.levels_advanced
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert a.next_batch == b.next_batch
 
     def test_multi_batch_weighted_roots_bitwise_identical(
         self, oracle_graph, monkeypatch
@@ -310,7 +343,7 @@ class TestBatchCap:
         assert _identical(collections[0].sets(), collections[1].sets())
         assert all(rr[0] >= 100 for rr in collections[0].sets())
         assert a.edges_examined == b.edges_examined
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert a.next_batch == b.next_batch
 
 
 class TestHopEstimator:
@@ -542,7 +575,7 @@ class TestContractV2:
         assert _flat_identical(*flats)
         assert a.edges_examined == b.edges_examined
         assert a.levels_advanced == b.levels_advanced
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert a.next_batch == b.next_batch
 
     def test_zero_probability_nodes_draw_nothing(self):
         graph = assign_constant_weights(power_law_graph(50, 4, seed=2), 0.0)

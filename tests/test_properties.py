@@ -43,9 +43,8 @@ class TestPipelineInvariants:
             sums = graph.in_prob_sums()
             if np.any(sums > 1.0 + 1e-9):
                 return
-        sampler = RRSampler(graph, model, seed=seed)
-        for _ in range(20):
-            nodes = sampler.sample_one()
+        collection = RRSampler(graph, model, seed=seed).new_collection(20)
+        for nodes in collection.sets():
             assert nodes.size >= 1
             assert len(set(nodes.tolist())) == nodes.size
             assert nodes.min() >= 0 and nodes.max() < graph.n

@@ -13,7 +13,6 @@ structural checks of an O(1) load.
 from __future__ import annotations
 
 import hashlib
-import json
 import mmap
 import shutil
 
@@ -25,7 +24,6 @@ from hypothesis import strategies as st
 from repro.datasets import load_dataset
 from repro.exceptions import GraphFormatError, ParameterError
 from repro.sampling.collection import RRCollection, stable_key_order
-from repro.sampling.kernel import RRSampler
 from repro.sampling.service import SamplingPool
 from repro.serve import SeedQueryEngine
 from repro.serve.index import load_index, save_index
@@ -218,9 +216,8 @@ def _file_hashes(directory):
 class TestPinnedBytes:
     """sha256 of the index halves written for fixed streams: a layout
     change must keep every byte.  The index digests are those of the
-    batch-seeded ``SamplingPool`` stream (index format 5);
-    ``RRSampler``'s own stream is pinned by ``sample_one_then_fill``
-    and by ``test_sampling.py``."""
+    batch-seeded stream (index format 5), which ``RRSampler`` and
+    ``SamplingPool`` share; ``test_sampling.py`` pins it too."""
 
     @staticmethod
     def _pool_index(pokec, model, directory):
@@ -258,36 +255,6 @@ class TestPinnedBytes:
             "r2_offsets.npy":
                 "c82ed256c40a043c1602fcebf63ae43068bdd96ed64b8bf2b55eb1681e1211e1",
         }
-
-    @pytest.mark.parametrize(
-        "model, expected",
-        [
-            ("IC", "91a939c78e0ae45a8e0825c7b5fbcc8bcecb151369e8bb394bf728cdd07398e4"),
-            ("LT", "d639f9d64c467b004a63c218d471a43f57c4376c9492384a656314851bf4ba45"),
-        ],
-    )
-    def test_sample_one_then_fill_stream(self, pokec, model, expected):
-        """``sample_one`` hands out one flat batch through a cursor, and
-        ``fill`` drains the rest of it first."""
-        sampler = RRSampler(pokec, model, seed=7)
-        digest = hashlib.sha256()
-        for _ in range(300):
-            digest.update(np.asarray(sampler.sample_one(), np.int64).tobytes())
-        collection = sampler.new_collection(500)
-        collection.build()
-        for array in (
-            collection.rr_nodes, collection.rr_offsets,
-            collection.node_rrs, collection.node_offsets,
-        ):
-            digest.update(array.tobytes())
-        for _ in range(10):
-            digest.update(
-                np.asarray(sampler.sample_one(root=3), np.int64).tobytes()
-            )
-        digest.update(
-            json.dumps(sampler.rng.bit_generator.state, sort_keys=True).encode()
-        )
-        assert digest.hexdigest() == expected
 
 
 # ----------------------------------------------------------------------

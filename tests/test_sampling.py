@@ -29,6 +29,7 @@ from repro.sampling.collection import RRCollection
 from repro.sampling.kernel import (
     RRSampler,
     sample_rr_sets_ic_kernel,
+    sample_rr_sets_kernel,
     sample_rr_sets_lt_kernel,
 )
 from repro.sampling.rrset_lt import LTAliasTables
@@ -289,25 +290,27 @@ class TestSegmentedAliasTables:
                     assert got.tolist() == [sources[picked]]
 
 
-def stream_digest(sampler, count=4000):
-    """sha256 of the first *count* RR sets (flat nodes, then offsets)
-    and of the generator state after them."""
-    collection = sampler.new_collection(count)
+def stream_digest(sampler, quotas=(1500, 1, 2499)):
+    """sha256 of the RR sets of fills of *quotas* (flat nodes, then
+    offsets) and of the stream position after them."""
+    collection = sampler.new_collection()
+    for quota in quotas:
+        sampler.fill(collection, quota)
+    count = len(collection)
     sets = [np.asarray(collection.get(i), dtype=np.int64) for i in range(count)]
     offsets = np.cumsum([0] + [s.size for s in sets], dtype=np.int64)
     digest = hashlib.sha256()
     digest.update(np.concatenate(sets).tobytes())
     digest.update(offsets.tobytes())
-    state = sampler.rng.bit_generator.state
+    state = {"seed": sampler.seed, "next_batch": sampler.next_batch}
     digest.update(json.dumps(state, sort_keys=True).encode())
     return digest.hexdigest()
 
 
 class TestPinnedLTStreams:
-    """The LT streams of RNG contract v2 (index format 4), pinned: tables
-    built another way must leave every RR set and the generator state
-    where they were.  Contract v2 changed them only through the wider
-    batches of its bit-packed visited matrix."""
+    """The LT streams of RNG contract v3 (per batch, seeded by index),
+    pinned: tables built another way must leave every RR set and the
+    stream position where they were."""
 
     @pytest.fixture(scope="class")
     def pokec(self):
@@ -316,7 +319,7 @@ class TestPinnedLTStreams:
     def test_lt_stream(self, pokec):
         sampler = RRSampler(pokec, "LT", seed=2018)
         assert stream_digest(sampler) == (
-            "7a3574008908fa261b980ae1c2ae21b94452a74cd40af2410b319024f5a1c05d"
+            "78732e7f4d8d085a7cf85d1dc91ebb54939ac8c7f8e497bfe2e289ef14324d6d"
         )
 
     def test_lt_triggering_stream(self, pokec):
@@ -325,19 +328,19 @@ class TestPinnedLTStreams:
             triggering_sets=lt_triggering_sets(pokec),
         )
         assert stream_digest(sampler) == (
-            "48c917a26293bd69ffdc1c2c8975b8081efa76467776db743d19b52ccc369d9b"
+            "237adfe6cfbabb7ecc6e303ea53b953fd87b73f601cd0d2595bd7cf28dca4c36"
         )
 
 
 class TestPinnedICStream:
-    """The IC stream of RNG contract v2 (skip and thin, index format 4),
-    pinned: a kernel change must leave every RR set and the generator
-    state where they were."""
+    """The IC stream of RNG contract v3 (skip and thin, per batch,
+    seeded by index), pinned: a kernel change must leave every RR set
+    and the stream position where they were."""
 
     def test_ic_stream(self):
         sampler = RRSampler(load_dataset("pokec-sim", scale=0.25), "IC", seed=2018)
         assert stream_digest(sampler) == (
-            "cf2eb0773a40b5fe1c5265aa889f071fcbc8cd6b58db8ffae99ee5e52444ee9c"
+            "63ac9f03bc28471ac01796838ff38dffbb5f0c2ab97f98e44d5225e3c1df60ac"
         )
 
 
@@ -521,8 +524,8 @@ class TestRRSampler:
     def test_models_dispatch(self, medium_graph):
         for model in ("IC", "LT", "ic", "lt"):
             sampler = RRSampler(medium_graph, model, seed=1)
-            nodes = sampler.sample_one()
-            assert nodes.size >= 1
+            assert sampler.model == model.upper()
+            assert sampler.new_collection(1).get(0).size >= 1
 
     def test_unknown_model(self, medium_graph):
         with pytest.raises(ParameterError):
@@ -540,14 +543,14 @@ class TestRRSampler:
         assert sampler.edges_examined > 0
 
     def test_explicit_root(self, medium_graph):
-        sampler = RRSampler(medium_graph, "IC", seed=3)
-        nodes = sampler.sample_one(root=5)
+        rng = np.random.default_rng(3)
+        nodes, _, _, _ = sample_rr_sets_kernel(medium_graph, "IC", [5], rng)
         assert nodes[0] == 5
 
     def test_root_out_of_range(self, medium_graph):
-        sampler = RRSampler(medium_graph, "IC", seed=3)
+        rng = np.random.default_rng(3)
         with pytest.raises(ParameterError):
-            sampler.sample_one(root=10**6)
+            sample_rr_sets_kernel(medium_graph, "IC", [10**6], rng)
 
     def test_negative_count(self, medium_graph):
         sampler = RRSampler(medium_graph, "IC", seed=3)
@@ -561,9 +564,10 @@ class TestRRSampler:
             sampler.fill(wrong, 1)
 
     def test_deterministic_given_seed(self, medium_graph):
-        a = RRSampler(medium_graph, "LT", seed=77).sample_one()
-        b = RRSampler(medium_graph, "LT", seed=77).sample_one()
-        assert np.array_equal(a, b)
+        a = RRSampler(medium_graph, "LT", seed=77).new_collection(50)
+        b = RRSampler(medium_graph, "LT", seed=77).new_collection(50)
+        for x, y in zip(a.flat(), b.flat()):
+            assert np.array_equal(x, y)
 
 
 class TestLemma31Unbiasedness:

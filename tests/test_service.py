@@ -3,12 +3,13 @@
 Covers the service's three contracts:
 
 * **Determinism** — for a fixed seed the RR-set stream is bitwise
-  identical across worker counts and across injected worker crashes,
-  and equal to its definition: batch ``b`` of the fills' split filled
-  by a fresh ``RRSampler`` seeded with ``SeedSequence(seed,
-  spawn_key=(b,))``.
-* **Crash recovery** — a killed worker is respawned and only its
-  outstanding chunk is re-issued, with the same batches.
+  identical to an ``RRSampler``'s with the same seed and fill quotas,
+  across worker counts and across injected worker crashes, and equal
+  to its definition: batch ``b`` of the fills' split drawn by one
+  kernel call from ``SeedSequence(seed, spawn_key=(b,))``.
+* **Crash recovery** — a killed worker (also one killed partway
+  through writing a result) is respawned and only its outstanding
+  chunk is re-issued, with the same batches.
 * **Resource hygiene** — every ``SharedMemory`` segment is unlinked on
   ``close()``, on exceptions inside the context manager, and no
   ``resource_tracker`` leak warnings escape a full create/use/close
@@ -19,6 +20,7 @@ Covers the service's three contracts:
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 from multiprocessing import shared_memory
@@ -33,8 +35,14 @@ from repro.exceptions import ParameterError, ServiceError
 from repro.graph import assign_wc_weights, power_law_graph
 from repro.obs import MetricsRegistry
 from repro.sampling.collection import RRCollection
-from repro.sampling.kernel import RRSampler, batch_cap
-from repro.sampling.service import SamplingPool, batch_rng, batch_schedule
+from repro.sampling.kernel import (
+    RRSampler,
+    batch_cap,
+    batch_rng,
+    batch_schedule,
+    sample_rr_sets_kernel,
+)
+from repro.sampling.service import SamplingPool
 
 
 def _sets(collection):
@@ -57,9 +65,9 @@ def wide_graph():
 def _batch_reference(graph, model, seed, quotas, kernel="vectorized"):
     """The stream by its definition: each fill splits into batches of
     at most ``batch_cap(n)`` sets, and batch ``b`` (counted across
-    fills) is filled by a fresh sampler seeded with
-    ``SeedSequence(seed, spawn_key=(b,))``.  Returns the sets and the
-    edges examined per batch."""
+    fills) draws its roots, then its kernel coins, from
+    ``default_rng(SeedSequence(seed, spawn_key=(b,)))``.  Returns the
+    sets and the edges examined per batch."""
     cap = batch_cap(graph.n)
     sets, edges = [], []
     index = 0
@@ -67,14 +75,15 @@ def _batch_reference(graph, model, seed, quotas, kernel="vectorized"):
         remaining = quota
         while remaining:
             size = min(cap, remaining)
-            sampler = RRSampler(
-                graph,
-                model,
-                seed=np.random.SeedSequence(seed, spawn_key=(index,)),
-                kernel=kernel,
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(index,))
             )
-            sets.extend(sampler.new_collection(size).sets())
-            edges.append(sampler.edges_examined)
+            roots = rng.integers(0, graph.n, size=size)
+            nodes, offsets, batch_edges, _ = sample_rr_sets_kernel(
+                graph, model, roots, rng, kernel=kernel
+            )
+            sets.extend(np.split(nodes, offsets[1:-1]))
+            edges.append(batch_edges)
             index += 1
             remaining -= size
     return sets, edges
@@ -170,6 +179,27 @@ class TestDeterminism:
         expected, _ = _batch_reference(wide_graph, model, 11, quotas)
         got = _pool_sets(wide_graph, model, 11, quotas, workers=workers)
         assert _identical(expected, got)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("model", ["IC", "LT"])
+    def test_pool_equals_rr_sampler_byte_for_byte(
+        self, wide_graph, model, workers
+    ):
+        """One stream: a pool at any worker count draws exactly the
+        sets an ``RRSampler`` with the same seed and quotas draws."""
+        quotas = (1500, 40, 700, 1)
+        sampler = RRSampler(wide_graph, model, seed=23)
+        expected = sampler.new_collection()
+        with SamplingPool(wide_graph, model, workers=workers, seed=23) as pool:
+            got = pool.new_collection()
+            for quota in quotas:
+                sampler.fill(expected, quota)
+                pool.fill(got, quota)
+            assert pool.state()["next_batch"] == sampler.next_batch
+            assert pool.edges_examined == sampler.edges_examined
+        for mine, theirs in zip(expected.flat(), got.flat()):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
 
     def test_pool_matches_batch_reference_under_crashes(self, wide_graph):
         quotas = (1500, 40, 700)
@@ -319,6 +349,44 @@ class TestVectorizedKernelDeterminism:
 
 
 class TestCrashRecovery:
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_torn_results_leave_the_stream_unchanged(
+        self, wide_graph, workers
+    ):
+        """An injected crash kills the worker partway through writing
+        its chunk's result, so the parent reads a torn message; the
+        chunk is re-issued and the fill equals the uncrashed stream."""
+        quotas = (2500, 900)
+        sampler = RRSampler(wide_graph, "IC", seed=31)
+        expected = sampler.new_collection()
+        for quota in quotas:
+            sampler.fill(expected, quota)
+        with SamplingPool(
+            wide_graph,
+            "IC",
+            workers=workers,
+            seed=31,
+            inject_crash_chunks={0, 3, 5},
+        ) as pool:
+            got = pool.new_collection()
+            for quota in quotas:
+                pool.fill(got, quota)
+            assert pool.restarts == 3
+        for mine, theirs in zip(expected.flat(), got.flat()):
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_worker_killed_while_idle_is_replaced(self, wide_graph):
+        """A worker SIGKILLed between fills is seen by its sentinel and
+        respawned; the next fill completes on the unchanged stream."""
+        expected = _pool_sets(wide_graph, "IC", 8, (600, 1200), workers=1)
+        with SamplingPool(wide_graph, "IC", workers=2, seed=8) as pool:
+            collection = pool.new_collection(600)
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            pool._workers[0].process.join(timeout=10)
+            pool.fill(collection, 1200)
+            assert pool.restarts == 1
+        assert _identical(expected, _sets(collection))
+
     def test_output_identical_under_injected_crashes(self, wide_graph):
         reference = _pool_sets(wide_graph, "IC", 42, (2500,), workers=1)
         registry = MetricsRegistry()
@@ -413,6 +481,70 @@ class TestSamplerInterface:
         pool.close()
         with pytest.raises(ServiceError, match="closed"):
             pool.fill(RRCollection(small_graph.n), 10)
+
+
+class TestOneStreamAcrossWorkerCounts:
+    """Every algorithm draws the one batch-seeded stream, so its answer
+    does not depend on the worker count that samples it."""
+
+    @staticmethod
+    def _answer(result):
+        return (
+            list(result.seeds), result.alpha_achieved, result.num_rr_sets,
+            result.edges_examined,
+        )
+
+    def test_opimc_run(self, wide_graph):
+        from repro.core.opimc import OPIMC
+
+        answers = [
+            self._answer(
+                OPIMC(wide_graph, "IC", seed=12, workers=workers).run(
+                    3, 0.3, delta=0.05
+                )
+            )
+            for workers in (1, 2)
+        ]
+        assert answers[0] == answers[1]
+        assert answers[0][2] > batch_cap(wide_graph.n)  # several batches
+
+    def test_online_opim_extend_and_query(self, wide_graph):
+        from repro.core.opim import OnlineOPIM
+
+        def snapshots(workers):
+            with OnlineOPIM(
+                wide_graph, "LT", k=4, delta=0.05, seed=13, workers=workers
+            ) as algo:
+                rows = []
+                for count in (1500, 42, 900):
+                    algo.extend(count)
+                    snap = algo.query()
+                    rows.append(
+                        (snap.seeds, snap.alpha, snap.num_rr_sets,
+                         snap.edges_examined)
+                    )
+                return rows
+
+        assert snapshots(1) == snapshots(2)
+
+    def test_borgs_online(self, small_graph):
+        """``BorgsOnline`` fills one set at a time (one batch each); the
+        same fills through a two-worker pool give the same answer."""
+        from repro.core.borgs import BorgsOnline
+
+        def snapshot(workers):
+            algo = BorgsOnline(small_graph, "IC", k=3, seed=14)
+            if workers > 1:
+                algo.sampler = SamplingPool(
+                    small_graph, "IC", workers=workers, seed=14
+                )
+            algo.extend(300)
+            snap = algo.query()
+            if workers > 1:
+                algo.sampler.close()
+            return snap.seeds, snap.alpha, snap.num_rr_sets, algo.gamma
+
+        assert snapshot(1) == snapshot(2)
 
 
 class TestSharedMemoryHygiene:

@@ -271,3 +271,21 @@ class TestScenarioSmoke:
         assert ctx.alpha_target == pytest.approx(
             1.0 - 1.0 / math.e - ctx.epsilon
         )
+
+
+class TestCompareStopping:
+    def test_sadeh_samples_fewer_exactly_where_its_cap_cut(self):
+        """Both rules draw one stream, so a sadeh run the cap did not
+        cut samples the paper run's sets, and one it cut samples
+        fewer; the vanilla k = 1 regime has trials of both kinds."""
+        from repro.graph import power_law_graph
+        from repro.stats_harness import compare_stopping
+
+        graph = assign_wc_weights(power_law_graph(120, 5, seed=7))
+        comparison = compare_stopping(
+            graph, trials=6, entropy=2018, k=1, epsilon=0.08,
+            bound="vanilla",
+        )
+        rows = comparison["rows"]
+        assert all((row["sadeh"] < row["paper"]) == row["cut"] for row in rows)
+        assert {row["cut"] for row in rows} == {True, False}

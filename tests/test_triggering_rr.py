@@ -12,7 +12,11 @@ from repro.exceptions import ParameterError
 from repro.graph.build import from_edge_list
 from repro.graph.generators import complete_graph, cycle_graph
 from repro.graph.weights import assign_constant_weights, assign_wc_weights
-from repro.sampling.kernel import RRSampler, sample_rr_sets_triggering_kernel
+from repro.sampling.kernel import (
+    RRSampler,
+    sample_rr_sets_kernel,
+    sample_rr_sets_triggering_kernel,
+)
 from repro.sampling.rrset_triggering import (
     fixed_size_triggering_sets,
     ic_triggering_sets,
@@ -150,11 +154,11 @@ class TestTriggeringSamplerFacade:
         assert sampler.edges_examined > 0
 
     def test_bad_root(self, small_graph):
-        sampler = triggering_sampler(
-            small_graph, ic_triggering_sets(small_graph), seed=1
-        )
         with pytest.raises(ParameterError):
-            sampler.sample_one(root=10**6)
+            sample_rr_sets_kernel(
+                small_graph, "TRIGGERING", [10**6], np.random.default_rng(1),
+                triggering_sets=ic_triggering_sets(small_graph),
+            )
 
     def test_negative_count(self, small_graph):
         sampler = triggering_sampler(

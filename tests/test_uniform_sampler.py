@@ -10,7 +10,11 @@ from repro.diffusion.spread import exact_spread_ic
 from repro.exceptions import ParameterError
 from repro.graph.generators import complete_graph, star_graph
 from repro.graph.weights import assign_constant_weights
-from repro.sampling.kernel import RRSampler, sample_rr_sets_ic_kernel
+from repro.sampling.kernel import (
+    RRSampler,
+    sample_rr_sets_ic_kernel,
+    sample_rr_sets_kernel,
+)
 
 
 def sample_rr_set_ic_uniform(graph, root, rng):
@@ -70,6 +74,7 @@ class TestSamplerFacade:
         assert sampler.edges_examined > 0
 
     def test_invalid_root(self, medium_graph):
-        sampler = RRSampler(medium_graph, "IC", seed=8)
         with pytest.raises(ParameterError):
-            sampler.sample_one(root=-1)
+            sample_rr_sets_kernel(
+                medium_graph, "IC", [-1], np.random.default_rng(8)
+            )

@@ -26,15 +26,21 @@ class TestWeightedSampler:
         sampler = WeightedRRSampler(g, "IC", weights, seed=2)
         # Node 0 (the hub) has weight 0: with p=1 edges every RR set of
         # a leaf contains the hub, but no RR set is *rooted* at it.
-        for _ in range(100):
-            nodes = sampler.sample_one()
-            assert nodes[0] != 0
+        collection = sampler.new_collection()
+        for quota in (1, 1, 48, 50):  # four batches, four streams
+            sampler.fill(collection, quota)
+        assert all(collection.get(i)[0] != 0 for i in range(100))
+        assert sampler.next_batch == 4
 
     def test_root_distribution_follows_weights(self, rng):
         g = assign_constant_weights(star_graph(3), 0.0)  # p=0: RR = {root}
         weights = np.array([0.5, 0.25, 0.25])
         sampler = WeightedRRSampler(g, "IC", weights, seed=3)
-        roots = [int(sampler.sample_one()[0]) for _ in range(4000)]
+        collection = sampler.new_collection()
+        for _ in range(100):  # 100 batches of 40, each its own stream
+            sampler.fill(collection, 40)
+        roots, offsets = collection.flat()
+        assert np.array_equal(offsets, np.arange(4001))
         freq = np.bincount(roots, minlength=3) / 4000
         assert np.allclose(freq, weights, atol=0.03)
 
