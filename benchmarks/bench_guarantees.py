@@ -9,8 +9,9 @@ BENCH_guarantees.json`` and gated by ``repro-opim bench compare``:
   exact-oracle graph; the gated headline is the worst per-label
   Clopper–Pearson upper bound, which must stay within ``delta``.
 * **Stopping cost** — paired paper-vs-sadeh OPIM-C runs on the
-  simulated bench datasets (and one hard-regime config where the cap
-  visibly binds); the gated headlines are the sadeh/theta_max and
+  simulated bench datasets and two hard-regime configs (a random
+  graph where the cap binds on most trials, a star where it binds on
+  every trial by construction); the gated headlines are the sadeh/theta_max and
   sadeh/paper RR-set ratios, which must stay below 1.
 
 The trial entropy is pinned so the JSON is reproducible run to run.
@@ -25,7 +26,7 @@ import pytest
 
 from repro.datasets.registry import load_dataset
 from repro.graph.build import from_edge_list
-from repro.graph.generators import power_law_graph
+from repro.graph.generators import power_law_graph, star_graph
 from repro.graph.weights import assign_wc_weights
 from repro.stats_harness import SCENARIOS, compare_stopping, run_scenario
 
@@ -139,24 +140,38 @@ def _run_guarantee_bench():
                 delta=DELTA,
             )
         )
-    # Hard regime: the loose vanilla deviation bound keeps the alpha
-    # exit from firing early, so the Sadeh cap is what stops most runs
-    # and the sadeh/paper ratio drops strictly below 1.  At k = 1 the
-    # cap's union term k (1 + ln 2) = 1.69 is well under ln C(120, 1)
-    # = 4.79, so the cap sits below the doubling most trials' paper
-    # runs take.  Whether it binds on a given trial is still a draw:
-    # the paper rule's alpha exit fires at the doubling below the cap
-    # on about a third of the trials (7 of the 20 with entropy 2018 on
-    # RNG contract v2's stream, 8 of 20 on v3's), so the
-    # per-trial check below is the exact one, that the cap cuts a run
-    # exactly when it binds.  (At the earlier k = 2, epsilon = 0.05 it
-    # bound on one trial of five, and after the sampler's stream
-    # changed it bound on none: ratio 1.0.)
+    # Hard regime on a random graph: the loose vanilla deviation bound
+    # keeps the alpha exit from firing early, so the Sadeh cap is what
+    # stops most runs.  At k = 1 the cap's union term k (1 + ln 2) =
+    # 1.69 is well under ln C(120, 1) = 4.79, so the cap sits below
+    # the doubling most trials' paper runs take.  Whether it binds on
+    # a given trial is a draw: the refined cap and the alpha exit both
+    # need about 2.6e3 n / OPT RR sets here, so the paper rule's alpha
+    # exit fires at the doubling below the cap on about a third of the
+    # trials (7 of the 20 with entropy 2018 on RNG contract v2's
+    # stream, 8 of 20 on v3's).
     stopping_runs.append(
         compare_stopping(
             assign_wc_weights(
                 power_law_graph(120, 5, seed=7, name="power-law-120")
             ),
+            trials=STOPPING_TRIALS,
+            entropy=ENTROPY,
+            k=1,
+            epsilon=0.08,
+            delta=DELTA,
+            bound="vanilla",
+        )
+    )
+    # Hard regime by construction: the hub of a WC-weighted star
+    # reaches every leaf with probability 1, so it lies in every RR
+    # set; the greedy seed covers all of R1 and R2 whatever the draw,
+    # and every trial runs the same alpha and cap trajectory.  On it
+    # the paper rule needs 6912 RR sets and the refined Sadeh cap
+    # stops at 5622.
+    stopping_runs.append(
+        compare_stopping(
+            assign_wc_weights(star_graph(1000, name="star-1000")),
             trials=STOPPING_TRIALS,
             entropy=ENTROPY,
             k=1,
@@ -216,17 +231,18 @@ def test_guarantee_acceptance_bench(benchmark):
     # on every bench graph, and never more than the paper rule...
     assert summary["max_rr_ratio_sadeh_vs_theta_max"] < 1.0
     assert summary["max_rr_ratio_sadeh_vs_paper"] <= 1.0
-    # ...and strictly fewer where the cap binds (the vanilla config).
+    # ...and strictly fewer where the cap binds (the vanilla configs),
+    # on every trial of the star, where it binds by construction.
+    assert summary["min_rr_ratio_sadeh_vs_paper"] < 1.0
+    hard = payload["stopping"][-1]
+    assert all(row["sadeh"] < row["paper"] for row in hard["rows"]), hard
     # Per trial, on every graph: the sadeh run samples fewer RR sets
     # exactly when its cap cut the run; otherwise it draws the paper
-    # run's sets.  The cap cuts at least one vanilla trial.
-    assert summary["min_rr_ratio_sadeh_vs_paper"] < 1.0
+    # run's sets.
     for run in payload["stopping"]:
         for row in run["rows"]:
             assert (row["sadeh"] < row["paper"]) == row["cut"], run
             assert row["sadeh"] <= row["paper"], run
-    hard = payload["stopping"][-1]
-    assert any(row["cut"] for row in hard["rows"]), hard
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / RESULT_NAME

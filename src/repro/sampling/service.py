@@ -57,7 +57,7 @@ import time
 import traceback
 from collections import deque
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +72,7 @@ from repro.sampling.kernel import (
     resolve_seed,
 )
 from repro.utils.rng import SeedLike
+
 __all__ = ["SamplingPool"]
 
 #: CSR arrays shared with workers (the complete DiGraph payload).
@@ -113,6 +114,18 @@ def _stop(worker: _Worker) -> None:
         worker.process.join()
     worker.tasks.close()
     worker.results.close()
+
+
+class _Position:
+    """The stream position and counters of a pool with workers; with
+    ``workers=1`` its in-process :class:`RRSampler` keeps them."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.next_batch = 0
+        self.sets_generated = 0
+        self.edges_examined = 0
+        self.nodes_touched = 0
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +286,9 @@ def _service_worker(
             spans = []
             if trace_id is not None:
                 spans.append(
-                    _chunk_span(elapsed, batches, count, trace_id=trace_id)
+                    _chunk_span(
+                        elapsed, index, len(batches), count, trace_id=trace_id
+                    )
                 )
             message = (
                 "ok",
@@ -305,16 +320,17 @@ def _exit_mid_send(connection: Any, message: Any) -> None:
 
 
 def _chunk_span(
-    elapsed: float, batches: Batches, count: int, **fields: Any
+    elapsed: float, index: int, batches: int, count: int, **fields: Any
 ) -> Dict[str, Any]:
-    """The ``service/chunk`` span event of one chunk."""
+    """The ``service/chunk`` span event of a chunk of *batches* batches
+    from batch *index* on."""
     return {
         "phase": "service/chunk",
         "elapsed": elapsed,
         **fields,
         "worker_pid": os.getpid(),
-        "batch_index": batches[0][0],
-        "batches": len(batches),
+        "batch_index": index,
+        "batches": batches,
         "rr_sets": count,
         "counters": {"sampling.rr_sets": count},
     }
@@ -402,33 +418,27 @@ class SamplingPool:
         self.obs = resolve_registry(registry)
         self._crash_batches = set(inject_crash_chunks or ())
         self.seed = resolve_seed(seed)
-
-        # Sampler duck-type accounting.
         self.universe_weight = float(graph.n)
-        self.sets_generated = 0
-        self.edges_examined = 0
-        self.nodes_touched = 0
         #: Cumulative wall-clock seconds spent inside :meth:`fill` —
         #: the serve engine reads deltas of this to attribute request
         #: time to sampling vs. selection.
         self.fill_seconds = 0.0
         #: Worker respawns performed so far (crash recoveries).
         self.restarts = 0
-        self._batch_cap = batch_cap(graph.n)
-        self._next_batch = 0
         self._closed = False
-
-        # workers == 1: the in-process sampler; otherwise the workers.
-        self._sampler: Optional[RRSampler] = None
         self._segments: List[shared_memory.SharedMemory] = []
         self._workers: List[_Worker] = []
         self._context: Optional[Any] = None
 
+        # The stream's position and counters: with workers == 1 the
+        # in-process sampler's, otherwise the parent's own.
+        self._stream: Union[RRSampler, _Position]
         if self.workers == 1:
-            self._sampler = RRSampler(
+            self._stream = RRSampler(
                 graph, model, seed=self.seed, registry=self.obs
             )
             return
+        self._stream = _Position(self.seed)
         self._spec, self._segments, shm_bytes = _share_graph(graph)
         self.obs.set_gauge("service.shm_bytes", shm_bytes)
         try:
@@ -439,6 +449,19 @@ class SamplingPool:
         except BaseException:
             self.close()
             raise
+
+    # -- sampler duck-type accounting ------------------------------------
+    @property
+    def sets_generated(self) -> int:
+        return self._stream.sets_generated
+
+    @property
+    def edges_examined(self) -> int:
+        return self._stream.edges_examined
+
+    @property
+    def nodes_touched(self) -> int:
+        return self._stream.nodes_touched
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -494,7 +517,6 @@ class SamplingPool:
                 pass
         for worker in self._workers:
             _stop(worker)
-        self._sampler = None
         for segment in self._segments:
             segment.close()
             try:
@@ -529,18 +551,13 @@ class SamplingPool:
             )
         if count == 0:
             return
-        batches = batch_schedule(count, self._next_batch, self._batch_cap)
-        self._next_batch += len(batches)
         fill_started = time.perf_counter()
         with self.obs.trace("service/fill"):
-            if self._sampler is not None:
-                chunks, edges, nodes = self._fill_here(collection, batches)
+            if self._workers:
+                chunks = self._fill_parallel(collection, count)
             else:
-                chunks, edges, nodes = self._fill_parallel(collection, batches)
+                chunks = self._fill_here(collection, count)
         self.fill_seconds += time.perf_counter() - fill_started
-        self.sets_generated += count
-        self.edges_examined += edges
-        self.nodes_touched += nodes
         self.obs.count("service.chunks", chunks)
 
     def new_collection(self, count: int = 0) -> RRCollection:
@@ -562,14 +579,15 @@ class SamplingPool:
         count, continues the exact RR-set stream the original process
         would have produced.
         """
+        stream = self._stream
         return {
             "kind": "pool",
             "seed": self.seed,
             "kernel": self.kernel,
-            "next_batch": self._next_batch,
-            "sets_generated": self.sets_generated,
-            "edges_examined": self.edges_examined,
-            "nodes_touched": self.nodes_touched,
+            "next_batch": stream.next_batch,
+            "sets_generated": stream.sets_generated,
+            "edges_examined": stream.edges_examined,
+            "nodes_touched": stream.nodes_touched,
         }
 
     @classmethod
@@ -619,48 +637,47 @@ class SamplingPool:
                 f"cannot restore sampling state: seed was {state['seed']} "
                 f"at capture but the pool has {self.seed}"
             )
-        if self._next_batch != 0 or self.sets_generated != 0:
+        stream = self._stream
+        if stream.next_batch != 0 or stream.sets_generated != 0:
             raise ParameterError(
                 "cannot restore sampling state into a pool that has "
                 "already generated RR sets"
             )
-        self._next_batch = int(state["next_batch"])
-        self.sets_generated = int(state["sets_generated"])
-        self.edges_examined = int(state["edges_examined"])
-        self.nodes_touched = int(state["nodes_touched"])
+        stream.next_batch = int(state["next_batch"])
+        stream.sets_generated = int(state["sets_generated"])
+        stream.edges_examined = int(state["edges_examined"])
+        stream.nodes_touched = int(state["nodes_touched"])
 
     # -- execution backends --------------------------------------------
-    def _fill_here(
-        self, collection: RRCollection, batches: Batches
-    ) -> Tuple[int, int, int]:
-        """``workers=1``: the in-process sampler appends every batch to
-        *collection* as one chunk; returns ``(chunks, edges, nodes)``."""
-        sampler = self._sampler
-        assert sampler is not None
-        edges, nodes = sampler.edges_examined, sampler.nodes_touched
-        count = sum(size for _, size in batches)
+    def _fill_here(self, collection: RRCollection, count: int) -> int:
+        """``workers=1``: the in-process sampler fills *collection* as
+        one chunk; returns the chunk count."""
+        sampler = self._stream
+        assert isinstance(sampler, RRSampler)
+        index = sampler.next_batch
         started = time.perf_counter()
-        sampler.next_batch = batches[0][0]
         sampler.fill(collection, count)
         elapsed = time.perf_counter() - started
         self._observe_chunk(elapsed)
         if self.obs.current_trace() is not None:
-            self.obs.record("span", **_chunk_span(elapsed, batches, count))
-        return (
-            1,
-            sampler.edges_examined - edges,
-            sampler.nodes_touched - nodes,
-        )
+            self.obs.record(
+                "span",
+                **_chunk_span(
+                    elapsed, index, sampler.next_batch - index, count
+                ),
+            )
+        return 1
 
-    def _fill_parallel(
-        self, collection: RRCollection, batches: Batches
-    ) -> Tuple[int, int, int]:
+    def _fill_parallel(self, collection: RRCollection, count: int) -> int:
         """Adaptive dispatch: idle workers pull chunks; crashes recover.
-        Results are appended in batch order; returns ``(chunks, edges,
-        nodes)``."""
+        Results are appended in batch order; returns the chunk count."""
         # Imported here, so that an in-process pool never loads it.
         from multiprocessing.connection import wait
 
+        stream = self._stream
+        batches = batch_schedule(
+            count, stream.next_batch, batch_cap(self.graph.n)
+        )
         chunks = _chunks(batches, self.workers)
         pending = deque(chunks)
         outstanding: Dict[int, Batches] = {}
@@ -719,12 +736,15 @@ class SamplingPool:
                     self.obs.record("span", **event)
         for chunk in chunks:
             collection.append_flat(*results[chunk[0][0]])
-        count = sum(size for _, size in batches)
+        stream.next_batch += len(batches)
+        stream.sets_generated += count
+        stream.edges_examined += edges
+        stream.nodes_touched += nodes
         obs = self.obs
         obs.count("sampling.rr_sets", count)
         obs.count("sampling.edges", edges)
         obs.count("sampling.nodes", nodes)
-        return len(chunks), edges, nodes
+        return len(chunks)
 
     def _observe_chunk(self, elapsed: float) -> None:
         self.obs.observe("service.chunk_seconds", elapsed)

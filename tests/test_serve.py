@@ -441,7 +441,7 @@ class TestKernelEngine:
         answers = []
         for kernel in ("python", "vectorized"):
             with SeedQueryEngine(medium_graph, "IC", seed=7, step=400) as eng:
-                eng.sampler._sampler.kernel = kernel
+                eng.sampler._stream.kernel = kernel
                 answers.append(eng.answer(4, alpha_target=0.2))
         for key in ("seeds", "alpha", "num_rr_sets", "sigma_low"):
             assert answers[0][key] == answers[1][key], key
