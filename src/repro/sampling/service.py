@@ -56,6 +56,7 @@ import struct
 import time
 import traceback
 from collections import deque
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -116,16 +117,16 @@ def _stop(worker: _Worker) -> None:
     worker.results.close()
 
 
+@dataclass
 class _Position:
     """The stream position and counters of a pool with workers; with
     ``workers=1`` its in-process :class:`RRSampler` keeps them."""
 
-    def __init__(self, seed: int) -> None:
-        self.seed = seed
-        self.next_batch = 0
-        self.sets_generated = 0
-        self.edges_examined = 0
-        self.nodes_touched = 0
+    seed: int
+    next_batch: int = 0
+    sets_generated: int = 0
+    edges_examined: int = 0
+    nodes_touched: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -430,13 +431,9 @@ class SamplingPool:
         self._workers: List[_Worker] = []
         self._context: Optional[Any] = None
 
-        # The stream's position and counters: with workers == 1 the
-        # in-process sampler's, otherwise the parent's own.
         self._stream: Union[RRSampler, _Position]
         if self.workers == 1:
-            self._stream = RRSampler(
-                graph, model, seed=self.seed, registry=self.obs
-            )
+            self._stream = RRSampler(graph, model, seed=self.seed, registry=self.obs)
             return
         self._stream = _Position(self.seed)
         self._spec, self._segments, shm_bytes = _share_graph(graph)
@@ -551,12 +548,10 @@ class SamplingPool:
             )
         if count == 0:
             return
+        fill = self._fill_parallel if self._workers else self._fill_here
         fill_started = time.perf_counter()
         with self.obs.trace("service/fill"):
-            if self._workers:
-                chunks = self._fill_parallel(collection, count)
-            else:
-                chunks = self._fill_here(collection, count)
+            chunks = fill(collection, count)
         self.fill_seconds += time.perf_counter() - fill_started
         self.obs.count("service.chunks", chunks)
 
@@ -650,8 +645,7 @@ class SamplingPool:
 
     # -- execution backends --------------------------------------------
     def _fill_here(self, collection: RRCollection, count: int) -> int:
-        """``workers=1``: the in-process sampler fills *collection* as
-        one chunk; returns the chunk count."""
+        """``workers=1``: the in-process sampler fills *collection*."""
         sampler = self._stream
         assert isinstance(sampler, RRSampler)
         index = sampler.next_batch
@@ -660,12 +654,8 @@ class SamplingPool:
         elapsed = time.perf_counter() - started
         self._observe_chunk(elapsed)
         if self.obs.current_trace() is not None:
-            self.obs.record(
-                "span",
-                **_chunk_span(
-                    elapsed, index, sampler.next_batch - index, count
-                ),
-            )
+            batches = sampler.next_batch - index
+            self.obs.record("span", **_chunk_span(elapsed, index, batches, count))
         return 1
 
     def _fill_parallel(self, collection: RRCollection, count: int) -> int:
@@ -675,9 +665,7 @@ class SamplingPool:
         from multiprocessing.connection import wait
 
         stream = self._stream
-        batches = batch_schedule(
-            count, stream.next_batch, batch_cap(self.graph.n)
-        )
+        batches = batch_schedule(count, stream.next_batch, batch_cap(self.graph.n))
         chunks = _chunks(batches, self.workers)
         pending = deque(chunks)
         outstanding: Dict[int, Batches] = {}
