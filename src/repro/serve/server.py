@@ -2,23 +2,35 @@
 
 One process, three moving parts:
 
-* the **event loop** parses HTTP, consults the result cache, and
-  coalesces duplicate in-flight queries;
+* the **event loop** parses HTTP, consults the result cache,
+  coalesces duplicate in-flight queries, and answers a query that
+  cannot block straight from the held sketch;
 * a **bounded job queue** applies backpressure — when it is full the
   server answers 503 immediately instead of stacking latency;
-* a single **engine thread** (a one-worker executor) runs the
-  CPU-bound sketch work serially, which is both the synchronization
-  story for :class:`~repro.serve.engine.SeedQueryEngine` and what
-  keeps the event loop responsive while a cold query samples.
+* a single **engine thread** (a one-worker executor) runs the engine
+  work that can block — sampling, greedy passes, hop previews,
+  ``/extend`` and ``/save`` — serially, which keeps the event loop
+  responsive while a cold query samples.
 
 Request lifecycle for ``POST /query``::
 
     cache hit ───────────────────────────────▶ respond (< 1 ms)
     miss, identical query in flight ─────────▶ await its future
+    miss, engine idle, answers from sketch ──▶ answer on the loop ─▶ cache + respond
     miss, queue full ────────────────────────▶ 503 {"error": "overloaded"}
     miss ───▶ enqueue ───▶ engine thread ───▶ cache + respond
 
-Every response that waited on the engine is stored in the LRU cache,
+"Answers from sketch" is
+:meth:`~repro.serve.engine.SeedQueryEngine.answers_from_sketch`: the
+request's sample cap (``min(rr_budget, max_rr_sets, Sadeh cap)``) is at
+most the sketch size and the held greedy pass covers its ``k``, so the
+answer is a greedy-prefix read plus the Eq. 5/8 bounds (well under a
+millisecond) and saves the thread hop.  It runs inline only while no
+job is queued or running, so the engine is never on two threads at
+once and each ``k``'s queries keep their FIFO order — and with it the
+``delta / 2^i`` schedule.
+
+Every response the engine computed is stored in the LRU cache,
 including responses whose *requester* timed out (504): the work was
 done, so the next identical query is a hit.
 
@@ -78,7 +90,10 @@ class SeedQueryServer(JsonHTTPServer):
         Metrics registry (defaults to the engine's).  Maintains
         ``serve.requests``, ``serve.queries``, ``serve.cache_hits`` /
         ``_misses``, ``serve.coalesced``, ``serve.rejected``,
-        ``serve.timeouts``, and the ``serve.queue_depth`` gauge.
+        ``serve.timeouts``, ``serve.inline_answers`` (queries answered
+        on the event loop), the ``serve.queue_depth`` gauge, and the
+        ``serve.queue_wait_seconds`` histogram (engine-thread jobs,
+        enqueue to start).
     """
 
     def __init__(
@@ -114,6 +129,11 @@ class SeedQueryServer(JsonHTTPServer):
             max_workers=1, thread_name_prefix="serve-engine"
         )
         self._worker: Optional[asyncio.Task] = None
+        # Engine-thread jobs submitted and not yet finished (queued or
+        # running); an inline answer needs it at zero.
+        self._engine_jobs = 0
+        self._inline_answers = self.obs.counter("serve.inline_answers")
+        self._queue_wait = self.obs.histogram("serve.queue_wait_seconds")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -176,9 +196,11 @@ class SeedQueryServer(JsonHTTPServer):
         assert self._queue is not None
         loop = asyncio.get_running_loop()
         while True:
-            key, job, future = await self._queue.get()
+            key, job, future, enqueued = await self._queue.get()
             try:
-                result = await loop.run_in_executor(self._executor, job)
+                result = await loop.run_in_executor(
+                    self._executor, self._run_job, job, enqueued
+                )
             except BaseException as exc:  # noqa: BLE001 - forwarded to waiter
                 if not future.cancelled():
                     future.set_exception(exc)
@@ -190,8 +212,16 @@ class SeedQueryServer(JsonHTTPServer):
             finally:
                 if key is not None:
                     self._inflight.pop(key, None)
+                self._engine_jobs -= 1
                 self._queue.task_done()
                 self.obs.set_gauge("serve.queue_depth", self._queue.qsize())
+
+    def _run_job(
+        self, job: Callable[[], Dict[str, Any]], enqueued: float
+    ) -> Dict[str, Any]:
+        """Engine-thread entry: record the queue wait, then run *job*."""
+        self._queue_wait.observe(time.perf_counter() - enqueued)
+        return job()
 
     def _submit(
         self, key: Optional[QueryKey], job: Callable[[], Dict[str, Any]]
@@ -200,12 +230,13 @@ class SeedQueryServer(JsonHTTPServer):
         assert self._queue is not None
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
-            self._queue.put_nowait((key, job, future))
+            self._queue.put_nowait((key, job, future, time.perf_counter()))
         except asyncio.QueueFull:
             # Refresh the gauge on the rejection path too — a scrape
             # during sustained overload should read the full queue.
             self.obs.set_gauge("serve.queue_depth", self._queue.qsize())
             raise OverloadedError(self._queue.qsize())
+        self._engine_jobs += 1
         if key is not None:
             self._inflight[key] = future
         self.obs.set_gauge("serve.queue_depth", self._queue.qsize())
@@ -271,6 +302,11 @@ class SeedQueryServer(JsonHTTPServer):
                 ),
                 "queue_limit": self.queue_limit,
                 "draining": self._draining,
+                "inline_answers": self._inline_answers.value,
+                "queue_wait_seconds": {
+                    "count": self._queue_wait.count,
+                    **self._queue_wait.percentiles(),
+                },
                 "counters": self.obs.counter_values(),
             }
         if self._draining:
@@ -352,6 +388,22 @@ class SeedQueryServer(JsonHTTPServer):
             return 200, {**response, "cached": False, "coalesced": True}
 
         engine = self.engine
+        if self._engine_jobs == 0 and engine.answers_from_sketch(
+            k, target, rr_budget
+        ):
+            # Cannot sample or run a greedy pass, and the engine thread
+            # is idle: answer here rather than pay the thread hop.  The
+            # guard above is what makes this call non-blocking.
+            response = engine.answer(  # repro: noqa[RPR203]
+                k,
+                bound=bound,
+                alpha_target=target,
+                rr_budget=rr_budget,
+                trace_id=trace_id,
+            )
+            self._inline_answers.inc()
+            self.cache.put(key, response)
+            return 200, {**response, "cached": False, "coalesced": False}
         future = self._submit(
             key,
             lambda: engine.answer(
@@ -372,10 +424,12 @@ class SeedQueryServer(JsonHTTPServer):
 
         Hop answers are deterministic, so they share the LRU cache and
         in-flight coalescing with exact queries (under hop-flavoured
-        keys that cannot collide with exact ones).  The engine work is
-        microseconds, but it still runs on the engine thread: the
-        estimator caches per-hop score tables on the engine, and the
-        single-thread funnel is the engine's synchronization story.
+        keys that cannot collide with exact ones).  They run on the
+        engine thread: the engine work is O(hops * m) edge reads — a
+        what-if of 50 greedy seeds on pokec-sim x2.5 reads about 140k
+        of its 152k edges on the second hop and takes 2.1-3.3 ms on a
+        2-vCPU host — too long to hold the event loop, and the
+        estimator caches per-hop score tables on the engine.
         """
         hop = parse_hop_params(body)
         key = make_hop_key(

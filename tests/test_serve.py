@@ -1073,6 +1073,203 @@ class TestObservabilityEndpoints:
 
 
 # ----------------------------------------------------------------------
+# Queries the held sketch answers run on the event loop
+# ----------------------------------------------------------------------
+#: Reply fields that time the request rather than describe the answer.
+_TIMING_FIELDS = ("engine_seconds", "sample_seconds", "select_seconds")
+
+
+def _answer_fields(reply):
+    drop = {"cached", "coalesced", "trace_id", *_TIMING_FIELDS}
+    return {f: v for f, v in reply.items() if f not in drop}
+
+
+class TestInlineAnswers:
+    SKETCH = 2000
+
+    @pytest.fixture
+    def index(self, medium_graph, tmp_path):
+        """A saved 2000-set sketch, copied for two engines."""
+        import shutil
+
+        with SeedQueryEngine(medium_graph, "IC", seed=42, step=400) as eng:
+            eng.extend(self.SKETCH)
+            eng.save_index(tmp_path / "a")
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        return tmp_path / "a", tmp_path / "b"
+
+    @staticmethod
+    def _threaded_engine(graph, index_dir, registry=None):
+        threads = []
+        engine = SeedQueryEngine(
+            graph, "IC", seed=42, step=400, index_dir=index_dir,
+            registry=registry,
+            on_answer=lambda r: threads.append(
+                (threading.current_thread().name, r["k"], r["queries_made"])
+            ),
+        )
+        return engine, threads
+
+    def test_sketch_answer_runs_on_the_loop_and_matches_the_engine(
+        self, medium_graph, index
+    ):
+        registry = MetricsRegistry()
+        engine, threads = self._threaded_engine(
+            medium_graph, index[0], registry
+        )
+        # The first query runs the greedy pass (width 5); k = 3 then
+        # reads its prefix with a budget the sketch already meets.
+        payloads = [
+            {"k": 5, "alpha_target": 0.2, "rr_budget": self.SKETCH},
+            {"k": 3, "alpha_target": 0.2, "rr_budget": self.SKETCH},
+            {"k": 3, "alpha_target": 0.25, "rr_budget": self.SKETCH},
+        ]
+
+        async def scenario():
+            server = await _started_server(engine, registry=registry)
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            replies = []
+            for payload in payloads:
+                status, reply = await client.request("POST", "/query", payload)
+                assert status == 200, reply
+                replies.append(reply)
+            _, stats = await client.request("GET", "/stats")
+            _, text = await client.request_text("GET", "/metrics")
+            await client.close()
+            await server.close()
+            return replies, stats, text
+
+        replies, stats, text = run(scenario())
+        loop_thread = threading.current_thread().name
+        assert [name for name, _, _ in threads] == [
+            threads[0][0], loop_thread, loop_thread
+        ]
+        assert threads[0][0].startswith("serve-engine")
+        assert all(not r["cached"] and r["sampled"] == 0 for r in replies)
+        assert stats["inline_answers"] == 2
+        assert stats["counters"]["serve.inline_answers"] == 2
+        assert stats["queue_wait_seconds"]["count"] == 1
+        assert "serve_inline_answers 2" in text
+        assert "serve_queue_wait_seconds_count 1" in text
+
+        with SeedQueryEngine(
+            medium_graph, "IC", seed=42, step=400, index_dir=index[1]
+        ) as reference:
+            expected = [
+                reference.answer(
+                    p["k"], alpha_target=p["alpha_target"],
+                    rr_budget=p["rr_budget"],
+                )
+                for p in payloads
+            ]
+            assert [_answer_fields(r) for r in replies] == [
+                _answer_fields(r) for r in expected
+            ]
+            ref_manifest = reference.checkpoint()
+        manifest = engine.checkpoint()
+        engine.close()
+        assert manifest["extra"]["sessions"] == ref_manifest["extra"]["sessions"]
+        assert manifest["extra"]["sessions"]["3"]["queries_made"] == 2
+
+    def test_requests_that_can_sample_or_need_a_pass_use_the_engine_thread(
+        self, medium_graph, index
+    ):
+        engine, threads = self._threaded_engine(medium_graph, index[0])
+
+        async def scenario():
+            server = await _started_server(engine)
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            for payload in (
+                # First query on k = 4 with no budget: it may sample.
+                {"k": 4, "alpha_target": 0.2},
+                # Inside the held pass, budget met: inline.
+                {"k": 2, "alpha_target": 0.2, "rr_budget": self.SKETCH},
+                # Inside the held pass, but the first query on k = 3
+                # with no budget has no Sadeh cap: it may sample.
+                {"k": 3, "alpha_target": 0.2},
+                # Wider than the held pass: needs a greedy pass.
+                {"k": 9, "alpha_target": 0.2, "rr_budget": self.SKETCH},
+            ):
+                status, reply = await client.request("POST", "/query", payload)
+                assert status == 200, reply
+            await client.close()
+            await server.close()
+
+        run(scenario())
+        engine.close()
+        names = [name for name, _, _ in threads]
+        assert names[0].startswith("serve-engine")
+        assert names[1] == threading.current_thread().name
+        assert names[2].startswith("serve-engine")
+        assert names[3].startswith("serve-engine")
+
+    def test_sketch_answer_waits_behind_a_running_engine_job(
+        self, medium_graph, index
+    ):
+        engine, threads = self._threaded_engine(medium_graph, index[0])
+        started = threading.Event()
+        release = threading.Event()
+        real_fill = engine.sampler.fill
+
+        def held_fill(collection, count):
+            # Only the first fill (the cold job's) is held, so a sketch
+            # answer run alongside it would finish early, not hang.
+            if not started.is_set():
+                started.set()
+                release.wait(30)
+            return real_fill(collection, count)
+
+        warm = {"k": 3, "alpha_target": 0.2, "rr_budget": self.SKETCH}
+        # An unreachable target with no Sadeh cap: the job samples up
+        # to its budget.
+        cold = {"k": 3, "alpha_target": 0.99, "rr_budget": self.SKETCH + 800}
+        sketch = {"k": 3, "alpha_target": 0.25, "rr_budget": self.SKETCH}
+
+        async def scenario():
+            server = await _started_server(engine)
+            clients = [
+                await ServeClient.connect("127.0.0.1", server.port)
+                for _ in range(2)
+            ]
+            status, _ = await clients[0].request("POST", "/query", warm)
+            assert status == 200
+            engine.sampler.fill = held_fill
+            job = asyncio.ensure_future(
+                clients[0].request("POST", "/query", cold)
+            )
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, started.wait, 30)
+            waiting = asyncio.ensure_future(
+                clients[1].request("POST", "/query", sketch)
+            )
+            try:
+                await asyncio.sleep(0.2)
+                answered_early = waiting.done()
+                release.set()
+                (s1, job_reply), (s2, reply) = await asyncio.gather(
+                    job, waiting
+                )
+            finally:
+                # Fail, not hang, if the two threads broke the engine.
+                release.set()
+                for client in clients:
+                    await client.close()
+                await server.close()
+            return answered_early, s1, job_reply, s2, reply
+
+        answered_early, s1, job_reply, s2, reply = run(scenario())
+        engine.close()
+        assert not answered_early
+        assert s1 == s2 == 200
+        assert job_reply["sampled"] > 0
+        assert reply["queries_made"] > job_reply["queries_made"]
+        assert [name for name, _, _ in threads[1:]] == [
+            threads[1][0], threads[1][0]
+        ]
+        assert threads[1][0].startswith("serve-engine")
+
+
+# ----------------------------------------------------------------------
 # Certified opt_lower feeding theta_sadeh on repeat queries
 # ----------------------------------------------------------------------
 class TestSadehCap:
